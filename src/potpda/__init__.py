@@ -22,14 +22,11 @@ from .bounds import (
 )
 from .measures import (
     CostMatrix,
-    DiscreteMeasure,
     Hypothesis,
-    LabeledSample,
     LinearFeatureMap,
     LipschitzClassifier,
     LossSpec,
     PdaDataset,
-    SoftmaxClassifier,
     clipped_abs_loss,
     cross_entropy_loss,
     empirical_feature_measure,

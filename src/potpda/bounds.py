@@ -24,7 +24,7 @@ from .measures import (
     feature_cost_matrix,
     joint_cost_matrix,
 )
-from .pot import SolverConfig, exact_partial_ot
+from .pot import exact_partial_ot
 from .weights import marginal_weights, tv_term
 
 __all__ = [
@@ -177,9 +177,25 @@ def _check_hypothesis(w: Hypothesis, gamma: float) -> LipschitzClassifier:
     return g
 
 
+def _feature_bound_terms(f: LinearFeatureMap, ds: PdaDataset, alpha: float, beta: float,
+                         gamma: float, G: FiniteClassifierSet, loss: LossSpec):
+    """What the feature-based bound shares across classifier heads on one sample.
+
+    Returns the plan's source weights, the source features and the terms
+    (2/alpha PW, TV correction, twice the difficulty term).
+    """
+    masses_s, feats_s = empirical_feature_measure(ds.source_x, f, 1.0 / beta)
+    masses_t, feats_t = empirical_feature_measure(ds.target_x, f, 1.0)
+    C = feature_cost_matrix(feats_s, feats_t, gamma)
+    plan, pw = exact_partial_ot(masses_s, masses_t, C, alpha)
+    p, q = marginal_weights(plan)
+    inputs, labels = _pooled(ds)
+    lf = difficulty_term(f, G, inputs, labels, loss)
+    return p, feats_s, (2.0 / alpha * pw, tv_term(q, alpha, ds.n_t), 2.0 * lf)
+
+
 def feature_bound_report(w: Hypothesis, ds: PdaDataset, alpha: float, beta: float,
                  gamma: float, G: FiniteClassifierSet,
-                 solver_cfg: SolverConfig | None = None,
                  loss: LossSpec | None = None) -> BoundReport:
     """Feature-based bound: weighted source loss + (2/alpha) partial transport
     of the 1/beta-inflated source features + TV correction + twice the
@@ -190,22 +206,10 @@ def feature_bound_report(w: Hypothesis, ds: PdaDataset, alpha: float, beta: floa
     if not (0 < alpha <= 1 and 0 < beta <= 1):
         raise ValueError("alpha and beta must lie in (0, 1]")
     _check_hypothesis(w, gamma)
-    f = w.feature_map
-
-    meas_s, feats_s = empirical_feature_measure(ds.source_x, f, 1.0 / beta)
-    meas_t, feats_t = empirical_feature_measure(ds.target_x, f, 1.0)
-    C = feature_cost_matrix(feats_s, feats_t, gamma)
-    plan, pw = exact_partial_ot(meas_s.masses, meas_t.masses, C, alpha)
-    p, q = marginal_weights(plan)
-
+    p, _, shared = _feature_bound_terms(w.feature_map, ds, alpha, beta, gamma, G, loss)
     src_losses = loss.elementwise(w.predict(ds.source_x), np.asarray(ds.source_y, dtype=float))
-    weighted = float((p.values / alpha) @ src_losses)
-    tv = tv_term(q, alpha, ds.n_t)
-    inputs, labels = _pooled(ds)
-    lf = difficulty_term(f, G, inputs, labels, loss)
-
     tgt_losses = loss.elementwise(w.predict(ds.target_x), np.asarray(ds.target_y_hidden, dtype=float))
-    terms = (weighted, 2.0 / alpha * pw, tv, 2.0 * lf)
+    terms = (float((p.values / alpha) @ src_losses), *shared)
     return BoundReport(*terms, rhs_total=sum(terms),
                        lhs_empirical_target_loss=float(tgt_losses.mean()),
                        params={"alpha": alpha, "beta": beta, "gamma": gamma})
@@ -227,7 +231,6 @@ def min_decomposition_gap(f: LinearFeatureMap, G: FiniteClassifierSet, p_hat, q_
 
 def joint_bound_report(w: Hypothesis, ds: PdaDataset, alpha: float, beta: float,
                  gamma: float, zeta: float, G: FiniteClassifierSet,
-                 solver_cfg: SolverConfig | None = None,
                  loss: LossSpec | None = None) -> BoundReport:
     """Joint-distribution bound: the transport cost couples features with the
     label distance to the hypothesis's own target predictions.
@@ -247,11 +250,11 @@ def joint_bound_report(w: Hypothesis, ds: PdaDataset, alpha: float, beta: float,
     f = w.feature_map
     G_full = G.with_candidate(g)
 
-    meas_s, feats_s = empirical_feature_measure(ds.source_x, f, 1.0 / beta)
-    meas_t, feats_t = empirical_feature_measure(ds.target_x, f, 1.0)
+    masses_s, feats_s = empirical_feature_measure(ds.source_x, f, 1.0 / beta)
+    masses_t, feats_t = empirical_feature_measure(ds.target_x, f, 1.0)
     predicted = w.predict(ds.target_x)
     C = joint_cost_matrix(feats_s, ds.source_y, feats_t, predicted, zeta * gamma, loss)
-    plan, pw = exact_partial_ot(meas_s.masses, meas_t.masses, C, alpha)
+    plan, pw = exact_partial_ot(masses_s, masses_t, C, alpha)
     p_hat, q_hat = marginal_weights(plan)
 
     src_losses = loss.elementwise(w.predict(ds.source_x), np.asarray(ds.source_y, dtype=float))
@@ -418,16 +421,9 @@ def pac_bayes_experiment(trials: int, delta: float, seed: int, n_s: int = 20,
         ti = trial_rng.integers(0, pool_n, size=n_t)
         ds = PdaDataset(src_pool_x[si], src_pool_y[si], tgt_pool_x[ti], tgt_pool_y[ti])
 
-        meas_s, feats_s = empirical_feature_measure(ds.source_x, f, 1.0 / beta)
-        meas_t, feats_t = empirical_feature_measure(ds.target_x, f, 1.0)
-        C = feature_cost_matrix(feats_s, feats_t, gamma)
-        plan, pw = exact_partial_ot(meas_s.masses, meas_t.masses, C, alpha)
-        p, q = marginal_weights(plan)
-        inputs, labels = _pooled(ds)
-        shared = 2.0 / alpha * pw + tv_term(q, alpha, n_t) + 2.0 * difficulty_term(f, G, inputs, labels, loss)
-
+        p, feats_s, shared = _feature_bound_terms(f, ds, alpha, beta, gamma, G, loss)
         src_cand = _candidate_losses(G, feats_s, np.asarray(ds.source_y, dtype=float), loss)
-        R = src_cand @ (p.values / alpha) + shared
+        R = src_cand @ (p.values / alpha) + sum(shared)
 
         posterior = np.exp(-posterior_temp * src_cand.mean(axis=1))
         posterior /= posterior.sum()

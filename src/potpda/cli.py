@@ -6,7 +6,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -74,34 +74,47 @@ def _any(x):
     return True
 
 
-# key -> (python type, range predicate, default)
+# key -> (python type, range predicate); the defaults live in the dataclasses
 CONFIG_KEYS = {
-    "alpha_max": (float, _in_unit, 0.8),
-    "ramp_iters": (int, _at_least_one, 2500),
-    "total_iters": (int, _at_least_one, 5000),
-    "beta": (float, _in_unit, 0.35),
-    "eta1": (float, _nonneg, 0.125),
-    "eta2": (float, _nonneg, 1.75),
-    "eps": (float, _positive, 7.0),
-    "lr": (float, _nonneg, 0.001),
-    "batch_size": (int, _at_least_one, 65),
-    "seed": (int, _any, 0),
-    "solver_max_iter": (int, _at_least_one, 5000),
-    "solver_tol": (float, _positive, 1e-9),
-    "weight_scheme": (str, lambda s: s in SCHEMES, "warmpot"),
-    "weight_update_every": (int, _at_least_one, 1),
-    "arpm_rho": (float, _nonneg, 5.0),
-    "arpm_steps": (int, _at_least_one, 30),
-    "arpm_step_size": (float, _positive, 0.1),
-    "feat_dim": (int, _nonneg, 0),
-    "task_K": (int, _at_least_one, 5),
-    "task_shared": (int, _at_least_one, 3),
-    "task_d": (int, _at_least_one, 4),
-    "task_n_s": (int, _at_least_one, 200),
-    "task_n_t": (int, _at_least_one, 120),
-    "task_separation": (float, _positive, 4.0),
-    "task_noise": (float, _positive, 1.0),
+    "alpha_max": (float, _in_unit),
+    "ramp_iters": (int, _at_least_one),
+    "total_iters": (int, _at_least_one),
+    "beta": (float, _in_unit),
+    "eta1": (float, _nonneg),
+    "eta2": (float, _nonneg),
+    "eps": (float, _positive),
+    "lr": (float, _nonneg),
+    "batch_size": (int, _at_least_one),
+    "seed": (int, _any),
+    "solver_max_iter": (int, _at_least_one),
+    "solver_tol": (float, _positive),
+    "weight_scheme": (str, lambda s: s in SCHEMES),
+    "weight_update_every": (int, _at_least_one),
+    "arpm_rho": (float, _nonneg),
+    "arpm_steps": (int, _at_least_one),
+    "arpm_step_size": (float, _positive),
+    "feat_dim": (int, _nonneg),
+    "task_K": (int, _at_least_one),
+    "task_shared": (int, _at_least_one),
+    "task_d": (int, _at_least_one),
+    "task_n_s": (int, _at_least_one),
+    "task_n_t": (int, _at_least_one),
+    "task_separation": (float, _positive),
+    "task_noise": (float, _positive),
 }
+# config key -> ArpmConfig field; every other TrainConfig field is its own key,
+# and each TaskSpec field but the shared seed is its key minus "task_"
+_ARPM_KEYS = {"arpm_rho": "rho", "arpm_steps": "subgradient_steps", "arpm_step_size": "step_size"}
+_TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name != "arpm"]
+_TASK_FIELDS = [f.name for f in fields(TaskSpec) if f.name != "seed"]
+
+
+def _default_values() -> dict:
+    train, spec = TrainConfig(), TaskSpec()
+    values = {name: getattr(train, name) for name in _TRAIN_FIELDS}
+    values.update({key: getattr(train.arpm, name) for key, name in _ARPM_KEYS.items()})
+    values.update({f"task_{name}": getattr(spec, name) for name in _TASK_FIELDS})
+    return values
 
 
 @dataclass(frozen=True)
@@ -117,27 +130,16 @@ class RunConfig:
             raise AttributeError(key) from exc
 
     def echo(self) -> str:
-        lines = [f"{k} = {v!r}" if isinstance(v, str) else f"{k} = {v!r}"
-                 for k, v in sorted(self.values.items())]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{k} = {v!r}\n" for k, v in sorted(self.values.items()))
 
     def train_config(self) -> TrainConfig:
         v = self.values
-        return TrainConfig(
-            alpha_max=v["alpha_max"], ramp_iters=v["ramp_iters"], total_iters=v["total_iters"],
-            beta=v["beta"], eta1=v["eta1"], eta2=v["eta2"], eps=v["eps"], lr=v["lr"],
-            batch_size=v["batch_size"], seed=v["seed"],
-            feat_dim=v["feat_dim"] or None, weight_scheme=v["weight_scheme"],
-            weight_update_every=v["weight_update_every"],
-            arpm=ArpmConfig(v["arpm_rho"], v["arpm_steps"], v["arpm_step_size"]),
-            solver_max_iter=v["solver_max_iter"], solver_tol=v["solver_tol"])
+        arpm = ArpmConfig(**{name: v[key] for key, name in _ARPM_KEYS.items()})
+        return TrainConfig(arpm=arpm, **{name: v[name] for name in _TRAIN_FIELDS})
 
     def task_spec(self) -> TaskSpec:
         v = self.values
-        return TaskSpec(K=v["task_K"], shared=v["task_shared"], d=v["task_d"],
-                        n_s=v["task_n_s"], n_t=v["task_n_t"],
-                        separation=v["task_separation"], noise=v["task_noise"],
-                        seed=v["seed"])
+        return TaskSpec(seed=v["seed"], **{name: v[f"task_{name}"] for name in _TASK_FIELDS})
 
     def solver_config(self) -> SolverConfig:
         v = self.values
@@ -147,7 +149,7 @@ class RunConfig:
 def _coerce(key: str, raw) -> object:
     if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown config key: {key}")
-    typ, check, _ = CONFIG_KEYS[key]
+    typ, check = CONFIG_KEYS[key]
     try:
         if isinstance(raw, str):
             value = typ(raw.strip().strip("'\"")) if typ is not str else raw.strip().strip("'\"")
@@ -178,7 +180,7 @@ def parse_config(file=None, flags=None, preset: str = "default") -> RunConfig:
     """Defaults, then preset, then file, then flags; every value validated."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset: {preset}")
-    values = {k: spec[2] for k, spec in CONFIG_KEYS.items()}
+    values = _default_values()
     values.update(PRESETS[preset])
     if file is not None:
         for key, raw in read_keyvalue_file(file).items():
@@ -193,6 +195,14 @@ def parse_config(file=None, flags=None, preset: str = "default") -> RunConfig:
 def _write_echo(cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_echo.txt").write_text(cfg.echo())
+
+
+def _load_task(path):
+    """A malformed task CSV is an input error, reported with the file's name."""
+    try:
+        return load_dataset(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_vector(path) -> np.ndarray:
@@ -251,7 +261,7 @@ def _cmd_solve(args, cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_weights(args, cfg: RunConfig, out_dir: Path) -> int:
-    ds = load_dataset(args.data)
+    ds = _load_task(args.data)
     params = _params_from_file(args.params) if args.params else None
     feats_s = params.features(ds.source_x) if params else ds.source_x
     feats_t = params.features(ds.target_x) if params else ds.target_x
@@ -266,7 +276,7 @@ def _cmd_weights(args, cfg: RunConfig, out_dir: Path) -> int:
         wv = scheme_ba3us(params.predict(ds.target_x), ds.source_y, ds.n_t)
         normalized = np.clip(wv.values / max(wv.values.max(), 1e-300), 0.0, 1.0)
     elif scheme == "arpm":
-        wv = scheme_arpm(feats_s, feats_t, ArpmConfig(cfg.arpm_rho, cfg.arpm_steps, cfg.arpm_step_size))
+        wv = scheme_arpm(feats_s, feats_t, cfg.train_config().arpm)
         normalized = np.clip(wv.values / max(wv.values.max(), 1e-300), 0.0, 1.0)
     else:
         alpha = args.alpha if args.alpha is not None else cfg.alpha_max
@@ -299,7 +309,7 @@ def _cmd_bound_check(args, cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> int:
-    ds = load_dataset(args.data)
+    ds = _load_task(args.data)
     train_cfg = cfg.train_config()
     params, trace = train(ds, train_cfg)
 

@@ -1,22 +1,19 @@
-"""Discrete measures, labeled samples, cost matrices, and linear hypotheses."""
+"""Datasets, cost matrices, losses, linear hypotheses, and the CSV task format."""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 __all__ = [
-    "LabeledSample",
     "PdaDataset",
-    "DiscreteMeasure",
     "CostMatrix",
     "LinearFeatureMap",
     "LipschitzClassifier",
-    "SoftmaxClassifier",
     "Hypothesis",
     "LossSpec",
     "clipped_abs_loss",
@@ -28,22 +25,6 @@ __all__ = [
     "load_dataset",
     "save_dataset",
 ]
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One labeled instance: input vector and a class id or real label."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or x.size < 1:
-            raise ValueError("sample input must be a vector of dimension >= 1")
-        if not np.all(np.isfinite(x)) or not np.isfinite(self.y):
-            raise ValueError("sample values must be finite")
-        object.__setattr__(self, "x", x)
 
 
 @dataclass(frozen=True)
@@ -70,6 +51,8 @@ class PdaDataset:
             raise ValueError("source and target input dimensions differ")
         if sy.shape != (sx.shape[0],):
             raise ValueError("source labels misaligned with source inputs")
+        if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(tx))):
+            raise ValueError("source and target inputs must be finite")
         object.__setattr__(self, "source_x", sx)
         object.__setattr__(self, "source_y", sy)
         object.__setattr__(self, "target_x", tx)
@@ -82,12 +65,6 @@ class PdaDataset:
                     raise ValueError("hidden target labels outside the source label set")
             object.__setattr__(self, "target_y_hidden", ty)
 
-    @classmethod
-    def from_samples(cls, source: Sequence[LabeledSample], target_inputs, target_labels_hidden=None):
-        sx = np.stack([s.x for s in source])
-        sy = np.asarray([s.y for s in source])
-        return cls(sx, sy, np.atleast_2d(np.asarray(target_inputs, dtype=float)), target_labels_hidden)
-
     @property
     def n_s(self) -> int:
         return self.source_x.shape[0]
@@ -99,33 +76,6 @@ class PdaDataset:
     @property
     def dim(self) -> int:
         return self.source_x.shape[1]
-
-
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Nonnegative masses over support points referenced by index.
-
-    The total mass need not be 1 (the source side is inflated to 1/beta).
-    """
-
-    masses: np.ndarray
-    support_ids: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.masses, dtype=float)
-        ids = np.asarray(self.support_ids, dtype=int)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("empty measure")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("masses must be finite and nonnegative")
-        if ids.shape != w.shape:
-            raise ValueError("support ids misaligned with masses")
-        object.__setattr__(self, "masses", w)
-        object.__setattr__(self, "support_ids", ids)
-
-    @property
-    def total(self) -> float:
-        return float(self.masses.sum())
 
 
 @dataclass(frozen=True)
@@ -194,43 +144,11 @@ class LipschitzClassifier:
 
 
 @dataclass(frozen=True)
-class SoftmaxClassifier:
-    """Linear-softmax K-class head for the cross-entropy regime."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        w = np.atleast_2d(np.asarray(self.weight, dtype=float))
-        b = np.atleast_1d(np.asarray(self.bias, dtype=float))
-        if b.shape[0] != w.shape[0]:
-            raise ValueError("bias length must match class count")
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "bias", b)
-
-    @property
-    def n_classes(self) -> int:
-        return self.weight.shape[0]
-
-    def logits(self, feats: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(feats, dtype=float)) @ self.weight.T + self.bias
-
-    def probabilities(self, feats: np.ndarray) -> np.ndarray:
-        z = self.logits(feats)
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
-    def __call__(self, feats: np.ndarray) -> np.ndarray:
-        return self.logits(feats).argmax(axis=1)
-
-
-@dataclass(frozen=True)
 class Hypothesis:
     """Composite predictor w = g o f."""
 
     feature_map: LinearFeatureMap
-    classifier: LipschitzClassifier | SoftmaxClassifier
+    classifier: LipschitzClassifier
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.classifier(self.feature_map(x))
@@ -291,7 +209,7 @@ def empirical_feature_measure(samples, feature_map: LinearFeatureMap, scale: flo
     """Uniform measure with mass scale/n per atom over the mapped samples.
 
     Use ``scale = 1/beta`` for the inflated source side and 1 for the target.
-    Returns the measure together with the feature array its atoms live on.
+    Returns the atom masses together with the feature array the atoms live on.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -299,9 +217,7 @@ def empirical_feature_measure(samples, feature_map: LinearFeatureMap, scale: flo
     n = x.shape[0]
     if n == 0 or x.size == 0:
         raise ValueError("empty measure")
-    feats = feature_map(x)
-    measure = DiscreteMeasure(np.full(n, scale / n), np.arange(n))
-    return measure, feats
+    return np.full(n, scale / n), feature_map(x)
 
 
 def feature_cost_matrix(source_feats, target_feats, gamma: float) -> CostMatrix:
@@ -337,15 +253,26 @@ def joint_cost_matrix(source_feats, source_labels, target_feats, predicted_label
 
 
 def load_dataset(path) -> PdaDataset:
-    """Read the CSV task format: split, x0..x{d-1}, y and optional y_hidden."""
+    """Read the CSV task format: split, x0..x{d-1}, y and optional y_hidden.
+
+    Malformed contents (missing columns, unknown splits, values that do not
+    parse or are not finite) raise ValueError naming the file.
+    """
+    try:
+        return _read_task(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_task(path) -> PdaDataset:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            raise ValueError(f"{path}: missing header")
+            raise ValueError("missing header")
         x_cols = sorted((c for c in reader.fieldnames if c.startswith("x")),
                         key=lambda c: int(c[1:]))
         if not x_cols:
-            raise ValueError(f"{path}: no input columns x0..")
+            raise ValueError("no input columns x0..")
         has_hidden = "y_hidden" in reader.fieldnames
         src_x, src_y, tgt_x, tgt_y = [], [], [], []
         for row in reader:
@@ -358,13 +285,13 @@ def load_dataset(path) -> PdaDataset:
                 if has_hidden and row["y_hidden"] != "":
                     tgt_y.append(row["y_hidden"])
             else:
-                raise ValueError(f"{path}: unknown split {row['split']!r}")
+                raise ValueError(f"unknown split {row['split']!r}")
     if not src_x or not tgt_x:
-        raise ValueError(f"{path}: need both source and target rows")
+        raise ValueError("need both source and target rows")
     hidden = None
     if tgt_y:
         if len(tgt_y) != len(tgt_x):
-            raise ValueError(f"{path}: y_hidden must cover every target row or none")
+            raise ValueError("y_hidden must cover every target row or none")
         hidden = _parse_labels(tgt_y)
     return PdaDataset(np.asarray(src_x), _parse_labels(src_y), np.asarray(tgt_x), hidden)
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .measures import PdaDataset
 from .pot import entropic_partial_ot
-from .warmpot import ModelParams, TrainConfig, train
+from .warmpot import ModelParams, TrainConfig, _forward, train
 from .weights import WeightVector, weight_histogram
 
 __all__ = [
@@ -110,17 +110,11 @@ def final_source_weights(params: ModelParams, ds: PdaDataset, cfg: TrainConfig):
     """End-of-training full-dataset plan weights, raw and cap-normalized."""
     a = np.full(ds.n_s, 1.0 / (cfg.beta * ds.n_s))
     b = np.full(ds.n_t, 1.0 / ds.n_t)
-    feats_s = params.features(ds.source_x)
-    feats_t = params.features(ds.target_x)
-    probs_t = params.probabilities(ds.target_x)
-    source_y = np.asarray(ds.source_y, dtype=int)
-    ce = -np.log(np.maximum(probs_t[:, source_y], 1e-300)).T
-    dist = np.linalg.norm(feats_s[:, None, :] - feats_t[None, :, :], axis=2)
-    cost = cfg.eta1 * dist + cfg.eta2 * ce
+    cost = _forward(params, ds.source_x, ds.source_y, ds.target_x, cfg).cost
     plan = entropic_partial_ot(a, b, cost, min(cfg.alpha_max, 1.0), cfg.solver())
     p_hat = plan.matrix.sum(axis=1)
     normalized = np.clip(p_hat * cfg.beta * ds.n_s, 0.0, 1.0)
-    return WeightVector(p_hat, cfg.alpha_max, "warmpot"), normalized
+    return WeightVector(p_hat, "warmpot"), normalized
 
 
 def _seed_list(seeds) -> list[int]:

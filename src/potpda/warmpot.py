@@ -42,16 +42,16 @@ class TrainConfig:
     beta: float = 0.35
     eta1: float = 0.125
     eta2: float = 1.75
-    eps: float = 7.0
+    eps: float = SolverConfig.eps
     lr: float = 0.001
     batch_size: int = 65
     seed: int = 0
-    feat_dim: int | None = None
+    feat_dim: int = 0  # 0 keeps the input dimension
     weight_scheme: Literal["warmpot", "uniform", "ba3us", "arpm"] = "warmpot"
     weight_update_every: int = 1
     arpm: ArpmConfig = field(default_factory=ArpmConfig)
-    solver_max_iter: int = 5000
-    solver_tol: float = 1e-9
+    solver_max_iter: int = SolverConfig.max_iter
+    solver_tol: float = SolverConfig.tol
 
     def __post_init__(self):
         if not 0 < self.alpha_max <= 1:
@@ -128,23 +128,94 @@ def alpha_schedule(iteration: int, cfg: TrainConfig) -> float:
     return ALPHA_START + (cfg.alpha_max - ALPHA_START) * frac
 
 
-def _batch_cost(params: ModelParams, bs_x, bs_y, bt_x, cfg: TrainConfig):
-    """Feature distances, target class probabilities, and the combined cost."""
+@dataclass(frozen=True)
+class _Forward:
+    """One evaluation of the model on a minibatch.
+
+    Holds everything the plan solve, the objective value and the gradients
+    read, so a training step maps each input through the model once.
+    """
+
+    bs_x: np.ndarray
+    bs_y: np.ndarray
+    bt_x: np.ndarray
+    feats_s: np.ndarray
+    feats_t: np.ndarray
+    probs_s: np.ndarray
+    probs_t: np.ndarray
+    dist: np.ndarray
+    src_losses: np.ndarray
+    cost: np.ndarray
+
+
+def _forward(params: ModelParams, bs_x, bs_y, bt_x, cfg: TrainConfig) -> _Forward:
+    """Features, softmaxes, feature distances, per-sample source losses and
+    the feature-plus-label alignment cost."""
+    bs_x = np.atleast_2d(np.asarray(bs_x, dtype=float))
+    bt_x = np.atleast_2d(np.asarray(bt_x, dtype=float))
+    bs_y = np.asarray(bs_y, dtype=int)
     feats_s = params.features(bs_x)
     feats_t = params.features(bt_x)
+    probs_s = _softmax(feats_s @ params.W_g.T + params.bias)
     probs_t = _softmax(feats_t @ params.W_g.T + params.bias)
+    src_losses = -np.log(np.maximum(probs_s[np.arange(len(bs_y)), bs_y], 1e-300))
     dist = cdist(feats_s, feats_t)
     # cross-entropy of each source one-hot label against each target prediction
     ce = -np.log(np.maximum(probs_t[:, bs_y], 1e-300)).T
     cost = cfg.eta1 * dist + cfg.eta2 * ce
-    return feats_s, feats_t, probs_t, dist, ce, cost
+    return _Forward(bs_x, bs_y, bt_x, feats_s, feats_t, probs_s, probs_t, dist, src_losses, cost)
 
 
-def _source_ce(params: ModelParams, bs_x, bs_y):
-    feats_s = params.features(bs_x)
-    probs_s = _softmax(feats_s @ params.W_g.T + params.bias)
-    losses = -np.log(np.maximum(probs_s[np.arange(len(bs_y)), bs_y], 1e-300))
-    return feats_s, probs_s, losses
+def _solve(fwd: _Forward, alpha: float, cfg: TrainConfig):
+    """Entropic partial plan of the minibatch and its row sums as source weights."""
+    n_bs, n_bt = fwd.cost.shape
+    if n_bs == 0 or n_bt == 0:
+        raise ValueError("batches must be nonempty")
+    a = np.full(n_bs, 1.0 / (cfg.beta * n_bs))
+    b = np.full(n_bt, 1.0 / n_bt)
+    alpha_eff = min(alpha, a.sum(), b.sum())
+    plan = entropic_partial_ot(a, b, fwd.cost, alpha_eff, cfg.solver())
+    return plan, WeightVector(plan.matrix.sum(axis=1), "warmpot")
+
+
+def _value(fwd: _Forward, plan_matrix: np.ndarray, source_weights: np.ndarray) -> float:
+    return float(source_weights @ fwd.src_losses) + float((plan_matrix * fwd.cost).sum())
+
+
+def _gradients(params: ModelParams, fwd: _Forward, plan_matrix: np.ndarray,
+               source_weights: np.ndarray, cfg: TrainConfig) -> dict:
+    n_classes = params.W_g.shape[0]
+    onehot = np.eye(n_classes)[fwd.bs_y]
+
+    # non-finite inputs are caught by the explicit check at the end
+    with np.errstate(invalid="ignore", over="ignore"):
+        # weighted source cross-entropy: dz_s[i] = w_i (p_s[i] - onehot_i)
+        dz_s = source_weights[:, None] * (fwd.probs_s - onehot)
+        # label part of the alignment cost:
+        # dz_t[j] = eta2 (colmass_j p_t[j] - sum_i plan_ij onehot_i)
+        col_mass = plan_matrix.sum(axis=0)
+        dz_t = cfg.eta2 * (col_mass[:, None] * fwd.probs_t - plan_matrix.T @ onehot)
+
+        dW_g = dz_s.T @ fwd.feats_s + dz_t.T @ fwd.feats_t
+        dbias = dz_s.sum(axis=0) + dz_t.sum(axis=0)
+        dfeats_s = dz_s @ params.W_g
+        dfeats_t = dz_t @ params.W_g
+
+        # feature part of the alignment cost: subgradient 0 at coincident
+        # features, where the difference tensor gives an exact zero
+        diff = fwd.feats_s[:, None, :] - fwd.feats_t[None, :, :]
+        scale = cfg.eta1 * plan_matrix / np.maximum(fwd.dist, 1e-12)
+        dfeats_s += np.einsum("ij,ijk->ik", scale, diff)
+        dfeats_t -= np.einsum("ij,ijk->jk", scale, diff)
+
+        dW_f = dfeats_s.T @ fwd.bs_x + dfeats_t.T @ fwd.bt_x
+    grads = {"W_f": dW_f, "W_g": dW_g, "bias": dbias}
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(
+                f"non-finite gradient in {name}: "
+                f"|plan|={plan_matrix.sum():.3e} max|feat|={np.abs(fwd.feats_s).max():.3e}")
+    return grads
 
 
 def warmpot_objective(bs_x, bs_y, bt_x, params: ModelParams, alpha: float, cfg: TrainConfig):
@@ -153,74 +224,23 @@ def warmpot_objective(bs_x, bs_y, bt_x, params: ModelParams, alpha: float, cfg: 
     Returns (value, plan, source weights).  The weights are the plan's row
     sums; alpha is clamped to the feasible batch mass when necessary.
     """
-    bs_y = np.asarray(bs_y, dtype=int)
-    n_bs, n_bt = len(bs_x), len(bt_x)
-    if n_bs == 0 or n_bt == 0:
-        raise ValueError("batches must be nonempty")
-    a = np.full(n_bs, 1.0 / (cfg.beta * n_bs))
-    b = np.full(n_bt, 1.0 / n_bt)
-    alpha_eff = min(alpha, a.sum(), b.sum())
-
-    _, _, _, _, _, cost = _batch_cost(params, bs_x, bs_y, bt_x, cfg)
-    plan = entropic_partial_ot(a, b, cost, alpha_eff, cfg.solver())
-    p_hat = WeightVector(plan.matrix.sum(axis=1), alpha_eff, "warmpot")
-    _, _, src_losses = _source_ce(params, bs_x, bs_y)
-    value = float(p_hat.values @ src_losses) + float((plan.matrix * cost).sum())
-    return value, plan, p_hat
+    fwd = _forward(params, bs_x, bs_y, bt_x, cfg)
+    plan, p_hat = _solve(fwd, alpha, cfg)
+    return _value(fwd, plan.matrix, p_hat.values), plan, p_hat
 
 
 def fixed_plan_value(params: ModelParams, bs_x, bs_y, bt_x, plan_matrix: np.ndarray,
                      source_weights: np.ndarray, cfg: TrainConfig) -> float:
     """Objective with the plan and source weights frozen; the function the
     gradient step differentiates."""
-    bs_y = np.asarray(bs_y, dtype=int)
-    _, _, _, _, _, cost = _batch_cost(params, bs_x, bs_y, bt_x, cfg)
-    _, _, src_losses = _source_ce(params, bs_x, bs_y)
-    return float(source_weights @ src_losses) + float((plan_matrix * cost).sum())
+    return _value(_forward(params, bs_x, bs_y, bt_x, cfg), plan_matrix, source_weights)
 
 
 def fixed_plan_gradients(params: ModelParams, bs_x, bs_y, bt_x, plan_matrix: np.ndarray,
                          source_weights: np.ndarray, cfg: TrainConfig) -> dict:
     """Exact gradients of fixed_plan_value for every parameter block."""
-    bs_x = np.atleast_2d(np.asarray(bs_x, dtype=float))
-    bt_x = np.atleast_2d(np.asarray(bt_x, dtype=float))
-    bs_y = np.asarray(bs_y, dtype=int)
-    n_classes = params.W_g.shape[0]
-    onehot = np.eye(n_classes)[bs_y]
-
-    # non-finite inputs are caught by the explicit check at the end
-    with np.errstate(invalid="ignore", over="ignore"):
-        feats_s, probs_s, _ = _source_ce(params, bs_x, bs_y)
-        feats_t = params.features(bt_x)
-        probs_t = _softmax(feats_t @ params.W_g.T + params.bias)
-
-        # weighted source cross-entropy: dz_s[i] = w_i (p_s[i] - onehot_i)
-        dz_s = source_weights[:, None] * (probs_s - onehot)
-        # label part of the alignment cost:
-        # dz_t[j] = eta2 (colmass_j p_t[j] - sum_i plan_ij onehot_i)
-        col_mass = plan_matrix.sum(axis=0)
-        dz_t = cfg.eta2 * (col_mass[:, None] * probs_t - plan_matrix.T @ onehot)
-
-        dW_g = dz_s.T @ feats_s + dz_t.T @ feats_t
-        dbias = dz_s.sum(axis=0) + dz_t.sum(axis=0)
-        dfeats_s = dz_s @ params.W_g
-        dfeats_t = dz_t @ params.W_g
-
-        # feature part of the alignment cost: subgradient 0 at coincident features
-        diff = feats_s[:, None, :] - feats_t[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        scale = cfg.eta1 * plan_matrix / np.maximum(dist, 1e-12)
-        dfeats_s += np.einsum("ij,ijk->ik", scale, diff)
-        dfeats_t -= np.einsum("ij,ijk->jk", scale, diff)
-
-        dW_f = dfeats_s.T @ bs_x + dfeats_t.T @ bt_x
-    grads = {"W_f": dW_f, "W_g": dW_g, "bias": dbias}
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient in {name}: "
-                f"|plan|={plan_matrix.sum():.3e} max|feat|={np.abs(feats_s).max():.3e}")
-    return grads
+    return _gradients(params, _forward(params, bs_x, bs_y, bt_x, cfg), plan_matrix,
+                      source_weights, cfg)
 
 
 def warmpot_step(params: ModelParams, bs_x, bs_y, bt_x, alpha: float, cfg: TrainConfig,
@@ -231,11 +251,11 @@ def warmpot_step(params: ModelParams, bs_x, bs_y, bt_x, alpha: float, cfg: Train
     competing weighting schemes); the alignment term is unchanged.
     Returns the updated params and a metrics record.
     """
-    value, plan, p_hat = warmpot_objective(bs_x, bs_y, bt_x, params, alpha, cfg)
+    fwd = _forward(params, bs_x, bs_y, bt_x, cfg)
+    plan, p_hat = _solve(fwd, alpha, cfg)
     weights = p_hat.values if source_weights is None else np.asarray(source_weights, dtype=float)
-    if source_weights is not None:
-        value = fixed_plan_value(params, bs_x, bs_y, bt_x, plan.matrix, weights, cfg)
-    grads = fixed_plan_gradients(params, bs_x, bs_y, bt_x, plan.matrix, weights, cfg)
+    value = _value(fwd, plan.matrix, weights)
+    grads = _gradients(params, fwd, plan.matrix, weights, cfg)
     new = params.copy()
     new.W_f -= cfg.lr * grads["W_f"]
     new.W_g -= cfg.lr * grads["W_g"]

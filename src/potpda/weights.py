@@ -28,18 +28,15 @@ CAP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative per-sample weights plus the normalizer that scales them."""
+    """Nonnegative per-sample weights and the scheme that produced them."""
 
     values: np.ndarray
-    normalizer: float
     scheme: Literal["warmpot", "uniform", "ba3us", "arpm"]
 
     def __post_init__(self):
         w = np.asarray(self.values, dtype=float)
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite and nonnegative")
-        if self.normalizer <= 0:
-            raise ValueError("normalizer must be positive")
         object.__setattr__(self, "values", w)
 
     @property
@@ -68,8 +65,7 @@ def marginal_weights(plan: TransportPlan):
     """Row and column sums of a coupling; both sum to the plan mass."""
     p = plan.matrix.sum(axis=1)
     q = plan.matrix.sum(axis=0)
-    return (WeightVector(p, plan.mass, "warmpot"),
-            WeightVector(q, plan.mass, "warmpot"))
+    return WeightVector(p, "warmpot"), WeightVector(q, "warmpot")
 
 
 def tv_term(q: WeightVector | np.ndarray, alpha: float, n_t: int) -> float:
@@ -90,13 +86,13 @@ def normalized_source_weights(p: WeightVector, beta: float, n_s: int) -> WeightV
         raise ValueError("weight count does not match n_s")
     if np.any(values > cap + max(CAP_TOL, 1e-9 * cap)):
         raise ValueError("weights exceed the cap 1/(beta*n_s); upstream plan is infeasible")
-    return WeightVector(np.clip(values / cap, 0.0, 1.0), beta * n_s, p.scheme)
+    return WeightVector(np.clip(values / cap, 0.0, 1.0), p.scheme)
 
 
 def scheme_uniform(n_s: int) -> WeightVector:
     if n_s < 1:
         raise ValueError("n_s must be at least 1")
-    return WeightVector(np.full(n_s, 1.0 / n_s), 1.0, "uniform")
+    return WeightVector(np.full(n_s, 1.0 / n_s), "uniform")
 
 
 def scheme_ba3us(target_predictions, source_labels, n_t: int) -> WeightVector:
@@ -106,7 +102,7 @@ def scheme_ba3us(target_predictions, source_labels, n_t: int) -> WeightVector:
     classes, counts = np.unique(preds, return_counts=True)
     freq = dict(zip(classes.tolist(), counts.tolist()))
     values = np.array([freq.get(y, 0) for y in labels.tolist()], dtype=float) / n_t
-    return WeightVector(values, 1.0, "ba3us")
+    return WeightVector(values, "ba3us")
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -196,7 +192,7 @@ def scheme_arpm(source_feats, target_feats, cfg: ArpmConfig) -> WeightVector:
     n_s = fs.shape[0]
     uniform = np.full(n_s, 1.0 / n_s)
     if cfg.rho == 0.0:
-        return WeightVector(uniform, 1.0, "arpm")
+        return WeightVector(uniform, "arpm")
 
     dist = cdist(fs, ft)
     radius = float(np.sqrt(cfg.rho / n_s))
@@ -212,7 +208,7 @@ def scheme_arpm(source_feats, target_feats, cfg: ArpmConfig) -> WeightVector:
         val, duals = _w1_to_uniform_target(p, dist)
         if val < best_val:
             best_val, best = val, p
-    return WeightVector(best, 1.0, "arpm")
+    return WeightVector(best, "arpm")
 
 
 def gamma_constrained_weights(source_feats, target_feats, beta: float) -> WeightVector:
@@ -233,7 +229,7 @@ def gamma_constrained_weights(source_feats, target_feats, beta: float) -> Weight
     a = np.full(n_s, 1.0 / (beta * n_s))
     b = np.full(n_t, 1.0 / n_t)
     plan, _ = exact_partial_ot(a, b, cdist(fs, ft), 1.0)
-    return WeightVector(plan.matrix.sum(axis=1), 1.0, "warmpot")
+    return WeightVector(plan.matrix.sum(axis=1), "warmpot")
 
 
 def weight_histogram(normalized_values, bins: int = 20) -> np.ndarray:

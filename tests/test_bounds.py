@@ -300,10 +300,10 @@ class TestPacBayes:
         from potpda.pot import exact_partial_ot
         from potpda.weights import marginal_weights, tv_term
 
-        meas_s, feats_s = empirical_feature_measure(ds.source_x, f, 1.0 / beta)
-        meas_t, feats_t = empirical_feature_measure(ds.target_x, f, 1.0)
+        masses_s, feats_s = empirical_feature_measure(ds.source_x, f, 1.0 / beta)
+        masses_t, feats_t = empirical_feature_measure(ds.target_x, f, 1.0)
         C = feature_cost_matrix(feats_s, feats_t, gamma)
-        plan, pw = exact_partial_ot(meas_s.masses, meas_t.masses, C, alpha)
+        plan, pw = exact_partial_ot(masses_s, masses_t, C, alpha)
         p, q = marginal_weights(plan)
         inputs, labels = _pooled(ds)
         shared = (2.0 / alpha * pw + tv_term(q, alpha, ds.n_t)

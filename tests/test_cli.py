@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from potpda.cli import ConfigError, main, parse_config
+from potpda.cli import CONFIG_KEYS, ConfigError, main, parse_config
 from potpda.measures import save_dataset
 from potpda.synthbench import TaskSpec, generate_pda_task
+from potpda.warmpot import TrainConfig
 
 
 def run_cli(capsys, argv):
@@ -40,6 +41,12 @@ class TestParseConfig:
         assert cfg.lr == 0.001
         assert cfg.batch_size == 65
         assert cfg.ramp_iters == 2500 and cfg.total_iters == 5000
+
+    def test_defaults_come_from_the_dataclasses(self):
+        cfg = parse_config()
+        assert set(cfg.values) == set(CONFIG_KEYS)
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.task_spec() == TaskSpec()
 
     def test_alternate_preset(self):
         cfg = parse_config(preset="imagenet-caltech-like")
@@ -137,6 +144,22 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("command", [["train"], ["weights", "--scheme", "warmpot"],
+                                         ["weights", "--scheme", "arpm"]])
+    @pytest.mark.parametrize("column, value", [(1, "nan"), (1, "-inf"), (0, "validation")])
+    def test_malformed_task_csv_exits_two(self, tiny_task, tmp_path, capsys,
+                                          command, column, value):
+        lines = tiny_task.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[column] = value
+        lines[1] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(command + ["--data", str(bad), "--out", str(tmp_path / "out")] + FAST_FLAGS)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err
 
 
 class TestBoundCheckCommand:

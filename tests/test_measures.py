@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from potpda.measures import (
-    LabeledSample,
     LinearFeatureMap,
     LipschitzClassifier,
     PdaDataset,
@@ -25,16 +24,16 @@ IDENTITY_2D = LinearFeatureMap(np.eye(2))
 
 class TestEmpiricalFeatureMeasure:
     def test_uniform_masses(self):
-        measure, _ = empirical_feature_measure(np.zeros((4, 2)), IDENTITY_2D, 1.0)
-        np.testing.assert_allclose(measure.masses, [0.25, 0.25, 0.25, 0.25])
+        masses, _ = empirical_feature_measure(np.zeros((4, 2)), IDENTITY_2D, 1.0)
+        np.testing.assert_allclose(masses, [0.25, 0.25, 0.25, 0.25])
 
     def test_inflated_source_total(self):
-        measure, _ = empirical_feature_measure(np.zeros((4, 2)), IDENTITY_2D, 1.0 / 0.35)
-        assert measure.total == pytest.approx(2.857142857, abs=1e-9)
+        masses, _ = empirical_feature_measure(np.zeros((4, 2)), IDENTITY_2D, 1.0 / 0.35)
+        assert masses.sum() == pytest.approx(2.857142857, abs=1e-9)
 
     def test_scale_two(self):
-        measure, _ = empirical_feature_measure(np.zeros((2, 2)), IDENTITY_2D, 2.0)
-        np.testing.assert_allclose(measure.masses, [1.0, 1.0])
+        masses, _ = empirical_feature_measure(np.zeros((2, 2)), IDENTITY_2D, 2.0)
+        np.testing.assert_allclose(masses, [1.0, 1.0])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="empty measure"):
@@ -48,8 +47,8 @@ class TestEmpiricalFeatureMeasure:
     @settings(max_examples=50, deadline=None)
     def test_total_mass_equals_scale(self, n, scale):
         f = LinearFeatureMap(np.eye(1))
-        measure, _ = empirical_feature_measure(np.zeros((n, 1)), f, scale)
-        assert abs(measure.total - scale) <= 1e-12
+        masses, _ = empirical_feature_measure(np.zeros((n, 1)), f, scale)
+        assert abs(masses.sum() - scale) <= 1e-12
 
 
 class TestFeatureCostMatrix:
@@ -171,11 +170,6 @@ class TestPdaDataset:
     def test_hidden_subset_enforced_for_int_labels(self):
         with pytest.raises(ValueError, match="hidden target labels"):
             PdaDataset(np.zeros((2, 1)), np.array([0, 1]), np.zeros((2, 1)), np.array([0, 5]))
-
-    def test_from_samples(self):
-        samples = [LabeledSample(np.array([0.0, 1.0]), 1), LabeledSample(np.array([2.0, 3.0]), 0)]
-        ds = PdaDataset.from_samples(samples, np.zeros((3, 2)))
-        assert ds.n_s == 2 and ds.n_t == 3 and ds.dim == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -178,6 +178,38 @@ class TestWarmpotStep:
         after = fixed_plan_value(new, bs_x, bs_y, bt_x, plan.matrix, p_hat.values, cfg)
         assert after < before
 
+    def test_one_forward_pass_per_step(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        bs_x, bs_y, bt_x, params = small_batch(rng)
+        cfg = TrainConfig(batch_size=5, eps=2.0, **FAST)
+        features = ModelParams.features
+        calls = []
+
+        def counted(self, x):
+            calls.append(len(x))
+            return features(self, x)
+
+        monkeypatch.setattr(ModelParams, "features", counted)
+        for weights in (None, np.full(5, 0.2)):
+            calls.clear()
+            warmpot_step(params, bs_x, bs_y, bt_x, 0.5, cfg, weights)
+            assert calls == [5, 6]
+
+    def test_override_weights_follow_the_fixed_plan_functions(self):
+        rng = np.random.default_rng(10)
+        bs_x, bs_y, bt_x, params = small_batch(rng)
+        cfg = TrainConfig(batch_size=5, lr=0.05, eps=2.0, **FAST)
+        weights = rng.dirichlet(np.ones(5))
+        new, info = warmpot_step(params, bs_x, bs_y, bt_x, 0.5, cfg, weights)
+        _, plan, p_hat = warmpot_objective(bs_x, bs_y, bt_x, params, 0.5, cfg)
+        np.testing.assert_array_equal(info["p_hat"], p_hat.values)
+        assert info["objective"] == fixed_plan_value(params, bs_x, bs_y, bt_x, plan.matrix,
+                                                     weights, cfg)
+        grads = fixed_plan_gradients(params, bs_x, bs_y, bt_x, plan.matrix, weights, cfg)
+        for name in ("W_f", "W_g", "bias"):
+            np.testing.assert_array_equal(getattr(new, name),
+                                          getattr(params, name) - cfg.lr * grads[name])
+
 
 class TestTrain:
     def test_deterministic_trace(self):

@@ -94,12 +94,12 @@ class TestTvTerm:
 class TestNormalizedSourceWeights:
     def test_cap_maps_to_one(self):
         beta, n_s = 0.5, 4
-        p = WeightVector(np.array([1.0 / (beta * n_s)] * n_s), 1.0, "warmpot")
+        p = WeightVector(np.array([1.0 / (beta * n_s)] * n_s), "warmpot")
         out = normalized_source_weights(p, beta, n_s)
         np.testing.assert_allclose(out.values, 1.0)
 
     def test_zero_maps_to_zero(self):
-        p = WeightVector(np.zeros(3), 1.0, "warmpot")
+        p = WeightVector(np.zeros(3), "warmpot")
         np.testing.assert_allclose(normalized_source_weights(p, 0.5, 3).values, 0.0)
 
     def test_derived_instance(self):
@@ -108,7 +108,7 @@ class TestNormalizedSourceWeights:
         np.testing.assert_allclose(out.values, [0.2, 0.8], atol=1e-9)
 
     def test_cap_violation_raises(self):
-        p = WeightVector(np.array([0.9]), 1.0, "warmpot")
+        p = WeightVector(np.array([0.9]), "warmpot")
         with pytest.raises(ValueError, match="cap"):
             normalized_source_weights(p, 2.0, 1)
 
