@@ -6,7 +6,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields
+import warnings
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.spatial.distance import cdist
 
 from .bounds import bound_check
 from .measures import load_dataset, save_dataset
-from .pot import SolverConfig, entropic_partial_ot, exact_partial_ot
+from .pot import entropic_partial_ot, exact_partial_ot
 from .synthbench import (
     TaskSpec,
     compare_schemes,
@@ -23,7 +24,7 @@ from .synthbench import (
     sensitivity_sweep,
     target_accuracy,
 )
-from .warmpot import ModelParams, TrainConfig, train
+from .warmpot import SCHEMES, ModelParams, TrainConfig, train
 from .weights import (
     ArpmConfig,
     gamma_constrained_weights,
@@ -35,8 +36,6 @@ from .weights import (
 )
 
 __all__ = ["RunConfig", "parse_config", "dispatch", "main", "ConfigError"]
-
-SCHEMES = ("warmpot", "uniform", "ba3us", "arpm")
 
 PRESETS = {
     "default": {},
@@ -51,57 +50,9 @@ PRESETS = {
 
 
 class ConfigError(ValueError):
-    """Unknown key or out-of-range value; maps to exit code 2."""
+    """Unknown key, bad value or malformed input file; maps to exit code 2."""
 
 
-def _in_unit(x):
-    return 0 < x <= 1
-
-
-def _positive(x):
-    return x > 0
-
-
-def _nonneg(x):
-    return x >= 0
-
-
-def _at_least_one(x):
-    return x >= 1
-
-
-def _any(x):
-    return True
-
-
-# key -> (python type, range predicate); the defaults live in the dataclasses
-CONFIG_KEYS = {
-    "alpha_max": (float, _in_unit),
-    "ramp_iters": (int, _at_least_one),
-    "total_iters": (int, _at_least_one),
-    "beta": (float, _in_unit),
-    "eta1": (float, _nonneg),
-    "eta2": (float, _nonneg),
-    "eps": (float, _positive),
-    "lr": (float, _nonneg),
-    "batch_size": (int, _at_least_one),
-    "seed": (int, _any),
-    "solver_max_iter": (int, _at_least_one),
-    "solver_tol": (float, _positive),
-    "weight_scheme": (str, lambda s: s in SCHEMES),
-    "weight_update_every": (int, _at_least_one),
-    "arpm_rho": (float, _nonneg),
-    "arpm_steps": (int, _at_least_one),
-    "arpm_step_size": (float, _positive),
-    "feat_dim": (int, _nonneg),
-    "task_K": (int, _at_least_one),
-    "task_shared": (int, _at_least_one),
-    "task_d": (int, _at_least_one),
-    "task_n_s": (int, _at_least_one),
-    "task_n_t": (int, _at_least_one),
-    "task_separation": (float, _positive),
-    "task_noise": (float, _positive),
-}
 # config key -> ArpmConfig field; every other TrainConfig field is its own key,
 # and each TaskSpec field but the shared seed is its key minus "task_"
 _ARPM_KEYS = {"arpm_rho": "rho", "arpm_steps": "subgradient_steps", "arpm_step_size": "step_size"}
@@ -109,63 +60,54 @@ _TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name != "arpm"]
 _TASK_FIELDS = [f.name for f in fields(TaskSpec) if f.name != "seed"]
 
 
-def _default_values() -> dict:
-    train, spec = TrainConfig(), TaskSpec()
-    values = {name: getattr(train, name) for name in _TRAIN_FIELDS}
-    values.update({key: getattr(train.arpm, name) for key, name in _ARPM_KEYS.items()})
+def _flatten(train_cfg: TrainConfig, spec: TaskSpec) -> dict:
+    values = {name: getattr(train_cfg, name) for name in _TRAIN_FIELDS}
+    values.update({key: getattr(train_cfg.arpm, name) for key, name in _ARPM_KEYS.items()})
     values.update({f"task_{name}": getattr(spec, name) for name in _TASK_FIELDS})
     return values
 
 
+# key -> default; a value's type is its default's, its range rules are the
+# dataclasses' own
+CONFIG_KEYS = _flatten(TrainConfig(), TaskSpec())
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat validated key-value configuration shared by every subcommand."""
+    """Validated configuration shared by every subcommand."""
 
-    values: dict
+    train: TrainConfig
+    task: TaskSpec
 
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError as exc:
-            raise AttributeError(key) from exc
+    @property
+    def values(self) -> dict:
+        """The flat key -> value form of config files and flags."""
+        return _flatten(self.train, self.task)
 
     def echo(self) -> str:
         return "".join(f"{k} = {v!r}\n" for k, v in sorted(self.values.items()))
-
-    def train_config(self) -> TrainConfig:
-        v = self.values
-        arpm = ArpmConfig(**{name: v[key] for key, name in _ARPM_KEYS.items()})
-        return TrainConfig(arpm=arpm, **{name: v[name] for name in _TRAIN_FIELDS})
-
-    def task_spec(self) -> TaskSpec:
-        v = self.values
-        return TaskSpec(seed=v["seed"], **{name: v[f"task_{name}"] for name in _TASK_FIELDS})
-
-    def solver_config(self) -> SolverConfig:
-        v = self.values
-        return SolverConfig(eps=v["eps"], max_iter=v["solver_max_iter"], tol=v["solver_tol"])
 
 
 def _coerce(key: str, raw) -> object:
     if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown config key: {key}")
-    typ, check = CONFIG_KEYS[key]
+    typ = type(CONFIG_KEYS[key])
+    if isinstance(raw, str):
+        raw = raw.strip().strip("'\"")
     try:
-        if isinstance(raw, str):
-            value = typ(raw.strip().strip("'\"")) if typ is not str else raw.strip().strip("'\"")
-        else:
-            value = typ(raw)
+        return typ(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    if not check(value):
-        raise ConfigError(f"value out of range for {key}: {value!r}")
-    return value
 
 
 def read_keyvalue_file(path) -> dict:
     """Parse `key = value` lines; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text") from exc
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -177,19 +119,24 @@ def read_keyvalue_file(path) -> dict:
 
 
 def parse_config(file=None, flags=None, preset: str = "default") -> RunConfig:
-    """Defaults, then preset, then file, then flags; every value validated."""
+    """Defaults, then preset, then file, then flags; the dataclasses check the result."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset: {preset}")
-    values = _default_values()
+    values = dict(CONFIG_KEYS)
     values.update(PRESETS[preset])
     if file is not None:
         for key, raw in read_keyvalue_file(file).items():
             values[key] = _coerce(key, raw)
     for key, raw in (flags or {}).items():
-        if raw is None:
-            continue
-        values[key] = _coerce(key, raw)
-    return RunConfig(values)
+        if raw is not None:
+            values[key] = _coerce(key, raw)
+    try:
+        arpm = ArpmConfig(**{name: values[key] for key, name in _ARPM_KEYS.items()})
+        train_cfg = TrainConfig(arpm=arpm, **{name: values[name] for name in _TRAIN_FIELDS})
+        spec = TaskSpec(seed=values["seed"], **{name: values[f"task_{name}"] for name in _TASK_FIELDS})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return RunConfig(train_cfg, spec)
 
 
 def _write_echo(cfg: RunConfig, out_dir: Path) -> None:
@@ -205,12 +152,29 @@ def _load_task(path):
         raise ConfigError(str(exc)) from exc
 
 
-def _load_vector(path) -> np.ndarray:
-    return np.atleast_1d(np.loadtxt(path, delimiter=",", dtype=float))
+def _load_csv(path, ndim: int) -> np.ndarray:
+    """A nonempty, finite numeric CSV of at most `ndim` dimensions; anything
+    else is an input error naming the file."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty input: checked below
+            values = np.loadtxt(path, delimiter=",", dtype=float, ndmin=ndim)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if values.size == 0:
+        raise ConfigError(f"{path}: no values")
+    if values.ndim > ndim:
+        raise ConfigError(f"{path}: expected one row or one column of values")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path}: values must be finite")
+    return values
 
 
-def _load_matrix(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+def _load_masses(path) -> np.ndarray:
+    masses = _load_csv(path, 1)
+    if np.any(masses < 0):
+        raise ConfigError(f"{path}: masses must be nonnegative")
+    return masses
 
 
 def _params_to_dict(params: ModelParams) -> dict:
@@ -245,14 +209,22 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _check_count(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ConfigError(f"--{flag} must be at least {least}, got {value}")
+
+
 def _cmd_solve(args, cfg: RunConfig, out_dir: Path) -> int:
-    a = _load_vector(args.a)
-    b = _load_vector(args.b)
-    C = _load_matrix(args.cost)
+    a = _load_masses(args.a)
+    b = _load_masses(args.b)
+    C = _load_csv(args.cost, 2)
+    if C.shape != (len(a), len(b)):
+        raise ConfigError(f"{args.cost}: cost shape {C.shape} does not match "
+                          f"len(a) = {len(a)} and len(b) = {len(b)}")
     if args.method == "exact":
         plan, cost = exact_partial_ot(a, b, C, args.alpha)
     else:
-        plan = entropic_partial_ot(a, b, C, args.alpha, cfg.solver_config())
+        plan = entropic_partial_ot(a, b, C, args.alpha, cfg.train.solver())
         cost = plan.cost(C)
     plan_path = out_dir / "plan.csv"
     np.savetxt(plan_path, plan.matrix, delimiter=",")
@@ -276,18 +248,18 @@ def _cmd_weights(args, cfg: RunConfig, out_dir: Path) -> int:
         wv = scheme_ba3us(params.predict(ds.target_x), ds.source_y, ds.n_t)
         normalized = np.clip(wv.values / max(wv.values.max(), 1e-300), 0.0, 1.0)
     elif scheme == "arpm":
-        wv = scheme_arpm(feats_s, feats_t, cfg.train_config().arpm)
+        wv = scheme_arpm(feats_s, feats_t, cfg.train.arpm)
         normalized = np.clip(wv.values / max(wv.values.max(), 1e-300), 0.0, 1.0)
     else:
-        alpha = args.alpha if args.alpha is not None else cfg.alpha_max
+        alpha = args.alpha if args.alpha is not None else cfg.train.alpha_max
         if alpha >= 1.0:
-            wv = gamma_constrained_weights(feats_s, feats_t, cfg.beta)
+            wv = gamma_constrained_weights(feats_s, feats_t, cfg.train.beta)
         else:
-            a = np.full(ds.n_s, 1.0 / (cfg.beta * ds.n_s))
+            a = np.full(ds.n_s, 1.0 / (cfg.train.beta * ds.n_s))
             b = np.full(ds.n_t, 1.0 / ds.n_t)
             plan, _ = exact_partial_ot(a, b, cdist(feats_s, feats_t), alpha)
             wv, _ = marginal_weights(plan)
-        normalized = np.clip(wv.values * cfg.beta * ds.n_s, 0.0, 1.0)
+        normalized = np.clip(wv.values * cfg.train.beta * ds.n_s, 0.0, 1.0)
 
     hist = weight_histogram(normalized)
     hist_path = out_dir / "weights_hist.csv"
@@ -298,7 +270,8 @@ def _cmd_weights(args, cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_bound_check(args, cfg: RunConfig, out_dir: Path) -> int:
-    result = bound_check(args.theorem, args.trials, cfg.seed)
+    _check_count("trials", args.trials, 1)
+    result = bound_check(args.theorem, args.trials, cfg.train.seed)
     reports_path = out_dir / f"bound_reports_theorem{args.theorem}.csv"
     header = ["trial", "n_s", "n_t", "alpha", "beta", "gamma", "lhs", "rhs", "slack"]
     _write_csv(reports_path, header, [[r[h] for h in header] for r in result["records"]])
@@ -310,8 +283,7 @@ def _cmd_bound_check(args, cfg: RunConfig, out_dir: Path) -> int:
 
 def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> int:
     ds = _load_task(args.data)
-    train_cfg = cfg.train_config()
-    params, trace = train(ds, train_cfg)
+    params, trace = train(ds, cfg.train)
 
     trace_path = out_dir / "trace.csv"
     header = list(trace[0].keys())
@@ -320,7 +292,7 @@ def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> int:
     params_path = out_dir / "params.json"
     params_path.write_text(json.dumps(_params_to_dict(params), indent=2))
 
-    _, normalized = final_source_weights(params, ds, train_cfg)
+    _, normalized = final_source_weights(params, ds, cfg.train)
     hist_path = out_dir / "weights_hist.csv"
     _write_histogram(hist_path, weight_histogram(normalized))
 
@@ -333,12 +305,12 @@ def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_bench(args, cfg: RunConfig, out_dir: Path) -> int:
-    spec = cfg.task_spec()
+    _check_count("seeds", args.seeds, 1)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     for s in schemes:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme: {s}")
-    results = compare_schemes(spec, cfg.train_config(), schemes, args.seeds)
+    results = compare_schemes(cfg.task, cfg.train, schemes, args.seeds)
 
     results_path = out_dir / "results.csv"
     rows = []
@@ -357,10 +329,15 @@ def _cmd_bench(args, cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
-    spec = cfg.task_spec()
-    grid = [float(v) for v in args.grid.split(",") if v.strip()]
+    _check_count("seeds", args.seeds, 0)
+    try:
+        grid = [float(v) for v in args.grid.split(",") if v.strip()]
+        for value in grid:
+            replace(cfg.train, **{args.param: value})
+    except ValueError as exc:
+        raise ConfigError(f"bad --grid {args.grid!r}: {exc}") from exc
     seeds = list(range(args.seeds)) if args.seeds else None
-    rows = sensitivity_sweep(spec, cfg.train_config(), args.param, grid, seeds)
+    rows = sensitivity_sweep(cfg.task, cfg.train, args.param, grid, seeds)
     sweep_path = out_dir / "sweep.csv"
     _write_csv(sweep_path, ["param", "value", "acc_mean", "acc_std"],
                [[r["param"], r["value"], r["acc_mean"], r["acc_std"]] for r in rows])
@@ -369,7 +346,7 @@ def _cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_make_task(args, cfg: RunConfig, out_dir: Path) -> int:
-    ds = generate_pda_task(cfg.task_spec())
+    ds = generate_pda_task(cfg.task)
     path = out_dir / "task.csv"
     save_dataset(ds, path)
     _emit({"task_path": str(path), "n_s": ds.n_s, "n_t": ds.n_t})

@@ -255,20 +255,24 @@ def joint_cost_matrix(source_feats, source_labels, target_feats, predicted_label
 def load_dataset(path) -> PdaDataset:
     """Read the CSV task format: split, x0..x{d-1}, y and optional y_hidden.
 
-    Malformed contents (missing columns, unknown splits, values that do not
-    parse or are not finite) raise ValueError naming the file.
+    Malformed contents (missing columns, rows of the wrong length, unknown
+    splits, values that do not parse or are not finite, text that is not
+    UTF-8) raise ValueError naming the file.
     """
     try:
         return _read_task(path)
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def _read_task(path) -> PdaDataset:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError("missing header")
+        for name in ("split", "y"):
+            if name not in reader.fieldnames:
+                raise ValueError(f"missing column {name!r}")
         x_cols = sorted((c for c in reader.fieldnames if c.startswith("x")),
                         key=lambda c: int(c[1:]))
         if not x_cols:
@@ -276,6 +280,9 @@ def _read_task(path) -> PdaDataset:
         has_hidden = "y_hidden" in reader.fieldnames
         src_x, src_y, tgt_x, tgt_y = [], [], [], []
         for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"line {reader.line_num}: expected "
+                                 f"{len(reader.fieldnames)} cells, as in the header")
             vec = [float(row[c]) for c in x_cols]
             if row["split"] == "source":
                 src_x.append(vec)
@@ -297,10 +304,14 @@ def _read_task(path) -> PdaDataset:
 
 
 def _parse_labels(raw: list) -> np.ndarray:
-    vals = [float(v) for v in raw]
-    if all(v == int(v) for v in vals):
-        return np.asarray(vals, dtype=int)
-    return np.asarray(vals, dtype=float)
+    vals = np.array([float(v) for v in raw])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("labels must be finite")
+    if np.any(vals != np.round(vals)):
+        return vals
+    if np.any(np.abs(vals) >= 2.0**63):
+        raise ValueError("integer labels out of range")
+    return vals.astype(int)
 
 
 def save_dataset(ds: PdaDataset, path) -> None:

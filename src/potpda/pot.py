@@ -78,12 +78,12 @@ class SolverConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise ValueError("solver max_iter must be at least 1")
+        if not self.tol > 0:
+            raise ValueError("solver tol must be positive")
 
 
 def _cost_entries(C) -> np.ndarray:
@@ -100,7 +100,7 @@ def _check_masses(a, b, alpha: float):
     b = np.asarray(b, dtype=float)
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("marginal masses must be nonnegative")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("transported mass alpha must be positive")
     limit = min(a.sum(), b.sum())
     if alpha > limit + 1e-12:

@@ -40,11 +40,13 @@ class TaskSpec:
     def __post_init__(self):
         if not 1 <= self.shared <= self.K:
             raise ValueError("need 1 <= shared <= K")
+        if self.d < 1:
+            raise ValueError("dimension d must be at least 1")
         if self.n_s < self.shared or self.n_t < self.shared:
             raise ValueError("sample counts must be at least the shared class count")
-        if self.separation <= 0:
+        if not self.separation > 0:
             raise ValueError("separation must be positive")
-        if self.noise <= 0:
+        if not self.noise > 0:
             raise ValueError("noise must be positive")
 
 
@@ -167,13 +169,11 @@ def sensitivity_sweep(spec: TaskSpec, cfg: TrainConfig, param: str, grid,
     seed_values = _seed_list(seeds) if seeds is not None else [cfg.seed]
     rows = []
     for value in grid:
-        if not 0 < value <= 1:
-            raise ValueError("sweep values must lie in (0, 1]")
+        value_cfg = replace(cfg, **{param: float(value)})  # TrainConfig checks the range
         accs = []
         for seed in seed_values:
             ds = generate_pda_task(replace(spec, seed=seed))
-            run_cfg = replace(cfg, seed=seed, **{param: float(value)})
-            params, _ = train(ds, run_cfg)
+            params, _ = train(ds, replace(value_cfg, seed=seed))
             accs.append(target_accuracy(params, ds))
         arr = np.asarray(accs, dtype=float)
         rows.append({"param": param, "value": float(value),

@@ -9,7 +9,6 @@ and the alignment cost.  Gradients are exact for the fixed-plan objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -19,6 +18,7 @@ from .pot import SolverConfig, entropic_partial_ot
 from .weights import WeightVector, ArpmConfig, scheme_arpm, scheme_ba3us
 
 __all__ = [
+    "SCHEMES",
     "TrainConfig",
     "ModelParams",
     "alpha_schedule",
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 ALPHA_START = 0.01
+SCHEMES = ("warmpot", "uniform", "ba3us", "arpm")
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class TrainConfig:
     batch_size: int = 65
     seed: int = 0
     feat_dim: int = 0  # 0 keeps the input dimension
-    weight_scheme: Literal["warmpot", "uniform", "ba3us", "arpm"] = "warmpot"
+    weight_scheme: str = "warmpot"  # one of SCHEMES
     weight_update_every: int = 1
     arpm: ArpmConfig = field(default_factory=ArpmConfig)
     solver_max_iter: int = SolverConfig.max_iter
@@ -62,12 +63,20 @@ class TrainConfig:
             raise ValueError("iteration counts must be positive")
         if self.ramp_iters > self.total_iters:
             raise ValueError("ramp_iters cannot exceed total_iters")
-        if self.eta1 < 0 or self.eta2 < 0:
+        # float rules are written as "not <valid>" here and in the other configs so NaN fails
+        if not (self.eta1 >= 0 and self.eta2 >= 0):
             raise ValueError("eta1 and eta2 must be nonnegative")
-        if self.eps <= 0 or self.lr < 0 or self.batch_size < 1:
-            raise ValueError("eps must be positive, lr nonnegative, batch_size >= 1")
+        if not self.lr >= 0:
+            raise ValueError("lr must be nonnegative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if self.feat_dim < 0:
+            raise ValueError("feat_dim must be nonnegative")
+        if self.weight_scheme not in SCHEMES:
+            raise ValueError(f"weight_scheme must be one of {', '.join(SCHEMES)}")
         if self.weight_update_every < 1:
             raise ValueError("weight_update_every must be positive")
+        self.solver()  # eps, solver_max_iter and solver_tol follow SolverConfig's rules
 
     def solver(self) -> SolverConfig:
         return SolverConfig(eps=self.eps, max_iter=self.solver_max_iter, tol=self.solver_tol)

@@ -53,12 +53,12 @@ class ArpmConfig:
     step_size: float = 0.1
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not self.rho >= 0:
+            raise ValueError("arpm rho must be nonnegative")
         if self.subgradient_steps < 1:
-            raise ValueError("need at least one subgradient step")
-        if self.step_size <= 0:
-            raise ValueError("step size must be positive")
+            raise ValueError("arpm needs at least one subgradient step")
+        if not self.step_size > 0:
+            raise ValueError("arpm step size must be positive")
 
 
 def marginal_weights(plan: TransportPlan):

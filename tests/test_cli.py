@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from potpda.cli import CONFIG_KEYS, ConfigError, main, parse_config
 from potpda.measures import save_dataset
@@ -33,35 +35,35 @@ FAST_FLAGS = ["--total-iters", "15", "--ramp-iters", "5", "--batch-size", "8",
 class TestParseConfig:
     def test_defaults_follow_standard_preset(self):
         cfg = parse_config()
-        assert cfg.eps == 7.0
-        assert cfg.alpha_max == 0.8
-        assert cfg.beta == 0.35
-        assert cfg.eta1 == 0.125
-        assert cfg.eta2 == 1.75
-        assert cfg.lr == 0.001
-        assert cfg.batch_size == 65
-        assert cfg.ramp_iters == 2500 and cfg.total_iters == 5000
+        assert cfg.train.eps == 7.0
+        assert cfg.train.alpha_max == 0.8
+        assert cfg.train.beta == 0.35
+        assert cfg.train.eta1 == 0.125
+        assert cfg.train.eta2 == 1.75
+        assert cfg.train.lr == 0.001
+        assert cfg.train.batch_size == 65
+        assert cfg.train.ramp_iters == 2500 and cfg.train.total_iters == 5000
 
     def test_defaults_come_from_the_dataclasses(self):
         cfg = parse_config()
         assert set(cfg.values) == set(CONFIG_KEYS)
-        assert cfg.train_config() == TrainConfig()
-        assert cfg.task_spec() == TaskSpec()
+        assert cfg.train == TrainConfig()
+        assert cfg.task == TaskSpec()
 
     def test_alternate_preset(self):
         cfg = parse_config(preset="imagenet-caltech-like")
-        assert cfg.alpha_max == 0.08
-        assert cfg.eta1 == 0.92
-        assert cfg.eta2 == 5.47
-        assert cfg.beta == 0.72
-        assert cfg.eps == 5.59
+        assert cfg.train.alpha_max == 0.08
+        assert cfg.train.eta1 == 0.92
+        assert cfg.train.eta2 == 5.47
+        assert cfg.train.beta == 0.72
+        assert cfg.train.eps == 5.59
 
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("lr = 0.5\nbeta = 0.9  # comment\n")
         cfg = parse_config(path, {"lr": "0.25"})
-        assert cfg.lr == 0.25
-        assert cfg.beta == 0.9
+        assert cfg.train.lr == 0.25
+        assert cfg.train.beta == 0.9
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -160,6 +162,126 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert str(bad) in err
+
+
+    @pytest.mark.parametrize("name, text", [
+        ("a", ""), ("b", ""), ("cost", ""), ("cost", "1,nan\n3,0\n"),
+        ("cost", "1,two\n3,0\n"), ("cost", "1,2,3\n3,0,1\n"), ("a", "-0.1\n0.4\n"),
+    ], ids=["empty a", "empty b", "empty cost", "nan cost", "unparseable cost",
+            "cost shape", "negative mass"])
+    def test_malformed_solve_input_exits_two(self, tmp_path, capsys, name, text):
+        inputs = {"a": "0.6\n0.4\n", "b": "0.5\n0.5\n", "cost": "1,2\n3,0\n", name: text}
+        paths = {key: tmp_path / f"{key}.csv" for key in inputs}
+        for key, content in inputs.items():
+            paths[key].write_text(content)
+        code = main(["solve", "--a", str(paths["a"]), "--b", str(paths["b"]),
+                     "--cost", str(paths["cost"]), "--alpha", "0.3",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(paths[name]) in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("fault", ["no split column", "no y column", "short row",
+                                       "inf label"])
+    def test_structurally_malformed_task_csv_exits_two(self, tiny_task, tmp_path, capsys, fault):
+        rows = [line.split(",") for line in tiny_task.read_text().splitlines()]
+        header = rows[0]
+        if fault == "no split column":
+            rows = [r[1:] for r in rows]
+        elif fault == "no y column":
+            col = header.index("y")
+            rows = [r[:col] + r[col + 1:] for r in rows]
+        elif fault == "short row":
+            rows[3] = rows[3][:2]
+        else:
+            rows[1][header.index("y")] = "inf"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        code = main(["train", "--data", str(bad), "--out", str(tmp_path / "out")] + FAST_FLAGS)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_config_file_that_is_not_utf8_exits_two(self, tiny_task, tmp_path, capsys):
+        bad = tmp_path / "cfg.txt"
+        bad.write_bytes("lr = 0.5  # caf\xe9\n".encode("latin-1"))
+        code = main(["train", "--data", str(tiny_task), "--config", str(bad),
+                     "--out", str(tmp_path / "out")] + FAST_FLAGS)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound-check", "--theorem", "1", "--trials", "0"],
+        ["bound-check", "--theorem", "1", "--trials", "-3"],
+        ["bench", "--seeds", "0"],
+        ["sweep", "--param", "beta", "--grid", "1.5"],
+        ["sweep", "--param", "beta", "--grid", "abc"],
+        ["make-task", "--task-shared", "9"],
+        ["make-task", "--task-d", "0"],
+    ], ids=" ".join)
+    def test_bad_count_grid_or_cross_key_value_exits_two(self, tmp_path, capsys, argv):
+        code = main(argv + ["--out", str(tmp_path / "out")] + FAST_FLAGS)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+
+    def test_ramp_longer_than_schedule_exits_two(self, tiny_task, tmp_path, capsys):
+        code = main(["train", "--data", str(tiny_task), "--ramp-iters", "6000",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ramp_iters" in err
+
+
+_SPECIAL_VALUES = ["", "nan", "inf", "-inf", "1e400", "1e300", "-1", "0", "0.5", "1_0",
+                   "source", "target", "validation", "split", "x", "xa", "x0", "x9",
+                   "y", "y_hidden", '"', ",", "warmpot", "arpm"]
+_TEXT = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.text(max_size=8))
+_KEY_VALUE_LINES = st.lists(
+    st.tuples(st.sampled_from(sorted(CONFIG_KEYS)) | st.text(max_size=10), _TEXT), max_size=6,
+).map(lambda pairs: "\n".join(f"{k} = {v}" for k, v in pairs).encode())
+# (row, column, edit, text); row 0 is the header, and three edits cannot empty a row
+_CSV_EDITS = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6),
+                                st.sampled_from(["set", "drop", "add"]), _TEXT),
+                      min_size=1, max_size=3)
+_FUZZ = settings(max_examples=100, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzz:
+    @_FUZZ
+    @given(content=_KEY_VALUE_LINES | st.text(max_size=40).map(str.encode) | st.binary(max_size=40))
+    def test_parse_config_returns_or_raises_config_error(self, tmp_path, content):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(content)
+        try:
+            parse_config(path)
+        except ConfigError:
+            pass
+
+    @_FUZZ
+    @given(edits=_CSV_EDITS)
+    def test_mutated_task_csv_exits_zero_or_two(self, tiny_task, tmp_path, capsys, edits):
+        rows = [line.split(",") for line in tiny_task.read_text().splitlines()]
+        for row, col, op, text in edits:
+            cells = rows[row % len(rows)]
+            col %= len(cells)
+            if op == "set":
+                cells[col] = text
+            elif op == "drop":
+                del cells[col]
+            else:
+                cells.insert(col, text)
+        bad = tmp_path / "mutated.csv"
+        bad.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+        code = main(["weights", "--scheme", "uniform", "--data", str(bad),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert "Traceback" not in err
 
 
 class TestBoundCheckCommand:

@@ -53,6 +53,12 @@ class TestGeneratePdaTask:
         with pytest.raises(ValueError):
             TaskSpec(n_s=2, shared=3)
 
+    @pytest.mark.parametrize("field, value", [("d", 0), ("noise", float("nan")),
+                                              ("separation", float("nan"))])
+    def test_spec_rejects_what_the_command_line_rejects(self, field, value):
+        with pytest.raises(ValueError):
+            TaskSpec(**{field: value})
+
 
 class TestOutlierWeightShare:
     def test_uniform_weights_give_sample_share(self):
@@ -87,9 +93,11 @@ class TestCompareSchemes:
         rows = compare_schemes(SMALL_SPEC, SMALL_CFG, ["uniform"], 6)
         assert len(rows[0].accuracies) == 6
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failures_marked_not_raised(self):
+        # a learning rate this large overflows the weights within a few steps
         bad_cfg = TrainConfig(total_iters=20, ramp_iters=10, batch_size=16,
-                              eps=2.0, lr=float("nan"))
+                              eps=2.0, lr=1e300)
         rows = compare_schemes(SMALL_SPEC, bad_cfg, ["uniform"], [0])
         assert rows[0].failures
         assert np.isnan(rows[0].acc_mean)

@@ -261,3 +261,12 @@ class TestTrain:
             TrainConfig(alpha_max=1.5)
         with pytest.raises(ValueError):
             TrainConfig(beta=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("weight_scheme", "bogus"), ("feat_dim", -1), ("solver_max_iter", 0),
+        ("solver_tol", 0.0), ("solver_tol", -1.0), ("eps", float("nan")),
+        ("lr", float("nan")), ("eta1", float("nan")),
+    ])
+    def test_config_rejects_what_the_command_line_rejects(self, field, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: value})
