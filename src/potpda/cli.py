@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -24,7 +25,7 @@ from .synthbench import (
     sensitivity_sweep,
     target_accuracy,
 )
-from .warmpot import SCHEMES, ModelParams, TrainConfig, train
+from .warmpot import SCHEMES, ModelParams, TrainConfig, class_labels, train
 from .weights import (
     ArpmConfig,
     gamma_constrained_weights,
@@ -205,8 +206,13 @@ def _write_histogram(path: Path, counts: np.ndarray) -> None:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
     sys.stdout.write("\n")
+
+
+def _or_null(value: float) -> float | None:
+    """JSON has no NaN; a statistic over no successful seed prints as null."""
+    return None if math.isnan(value) else value
 
 
 def _check_count(flag: str, value: int, least: int) -> None:
@@ -228,7 +234,8 @@ def _cmd_solve(args, cfg: RunConfig, out_dir: Path) -> int:
         cost = plan.cost(C)
     plan_path = out_dir / "plan.csv"
     np.savetxt(plan_path, plan.matrix, delimiter=",")
-    _emit({"cost": cost, "converged": plan.converged, "plan_path": str(plan_path)})
+    _emit({"cost": cost, "converged": plan.converged, "n_iter": plan.n_iter,
+           "max_violation": plan.max_violation(), "plan_path": str(plan_path)})
     return 0
 
 
@@ -283,6 +290,10 @@ def _cmd_bound_check(args, cfg: RunConfig, out_dir: Path) -> int:
 
 def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> int:
     ds = _load_task(args.data)
+    try:
+        class_labels(ds.source_y)
+    except ValueError as exc:
+        raise ConfigError(f"{args.data}: {exc}") from exc
     params, trace = train(ds, cfg.train)
 
     trace_path = out_dir / "trace.csv"
@@ -323,8 +334,9 @@ def _cmd_bench(args, cfg: RunConfig, out_dir: Path) -> int:
     hist_path = out_dir / "weights_hist.csv"
     _write_histogram(hist_path, results[0].histogram if results else np.zeros(20, dtype=int))
     _emit({"results_path": str(results_path), "histogram_path": str(hist_path),
-           "schemes": {r.scheme: {"acc_mean": r.acc_mean, "acc_std": r.acc_std,
-                                  "outlier_share": r.outlier_share} for r in results}})
+           "schemes": {r.scheme: {"acc_mean": _or_null(r.acc_mean), "acc_std": _or_null(r.acc_std),
+                                  "outlier_share": _or_null(r.outlier_share)}
+                       for r in results}})
     return 0
 
 

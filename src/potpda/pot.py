@@ -13,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from .measures import CostMatrix
 
@@ -29,6 +30,14 @@ EXACT_FEAS_TOL = 1e-9
 ENTROPIC_FEAS_TOL = 1e-6
 BRUTE_FORCE_MAX_VARS = 6
 
+# linprog stacks a sparse constraint matrix with scipy.sparse, about 0.5-1 ms
+# per call, which pays for itself only on larger LPs.  Per call on a 2-core
+# x86 VM (scipy 1.17), dense vs sparse: 4 variables 3.2 vs 3.9 ms, 480
+# variables 5.3 vs 6.0 ms, 600 variables 6.8 vs 6.3 ms, 961 variables 8.6 vs
+# 7.6 ms.  Smaller LPs get the dense matrix; HiGHS receives the same CSC
+# matrix either way.
+_SPARSE_LP_MIN_VARS = 600
+
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -37,7 +46,11 @@ _LP_OPTIONS = {
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """A coupling matrix together with the caps and mass it must respect."""
+    """A coupling matrix together with the caps and mass it must respect.
+
+    ``n_iter`` is the solver's iteration count: entropic sweeps, or HiGHS
+    simplex iterations for exact plans.
+    """
 
     matrix: np.ndarray
     row_caps: np.ndarray
@@ -45,6 +58,7 @@ class TransportPlan:
     mass: float
     converged: bool = True
     epsilon: float | None = None
+    n_iter: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
@@ -109,19 +123,27 @@ def _check_masses(a, b, alpha: float):
 
 
 def _transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
-    """Balanced transportation LP with equality marginals; returns plan and duals."""
+    """Balanced transportation LP with equality marginals; returns the plan,
+    carrying HiGHS's iteration count, and the row and column duals."""
     m, n = C.shape
     n_var = m * n
-    A_eq = np.zeros((m + n, n_var))
-    for i in range(m):
-        A_eq[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n):
-        A_eq[m + j, j::n] = 1.0
+    # column k = i*n + j of the (m+n) x mn constraint matrix has ones in rows
+    # i and m+j, which is the CSC form linprog would build from the dense matrix
+    rows = np.empty(2 * n_var, dtype=int)
+    rows[0::2] = np.repeat(np.arange(m), n)
+    rows[1::2] = np.tile(np.arange(m, m + n), m)
+    if n_var < _SPARSE_LP_MIN_VARS:
+        A_eq = np.zeros((m + n, n_var))
+        A_eq[rows, np.repeat(np.arange(n_var), 2)] = 1.0
+    else:
+        A_eq = csc_array((np.ones(2 * n_var), rows, np.arange(0, 2 * n_var + 1, 2)),
+                         shape=(m + n, n_var))
     res = linprog(C.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
                   bounds=(0, None), method="highs", options=_LP_OPTIONS)
     if res.status != 0:
         raise RuntimeError(f"transportation LP failed: {res.message}")
-    plan = np.clip(res.x, 0.0, None).reshape(m, n)
+    plan = TransportPlan(np.clip(res.x, 0.0, None).reshape(m, n), a, b, float(a.sum()),
+                         n_iter=int(res.nit))
     duals = res.eqlin.marginals
     return plan, duals[:m], duals[m:]
 
@@ -147,7 +169,7 @@ def exact_partial_ot(a, b, C, alpha: float):
     C_ext[m, n] = big
 
     full, _, _ = _transport_lp(a_ext, b_ext, C_ext)
-    plan = TransportPlan(full[:m, :n], a, b, alpha)
+    plan = TransportPlan(full.matrix[:m, :n], a, b, alpha, n_iter=full.n_iter)
     plan.validate(EXACT_FEAS_TOL)
     return plan, plan.cost(C)
 
@@ -165,19 +187,25 @@ def _logsumexp(a: np.ndarray, axis: int | None = None):
 
 def _log_scaling_change(new: np.ndarray, prev: np.ndarray) -> float:
     """Max-norm difference treating matching infinities (zero-cap rows) as zero."""
-    diff = np.where(new == prev, 0.0, np.abs(new - prev))
+    with np.errstate(invalid="ignore"):  # inf - inf, masked by the equality
+        diff = np.where(new == prev, 0.0, np.abs(new - prev))
     return float(np.max(diff, initial=0.0))
 
 
 def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) -> TransportPlan:
     """Approximate plan via Dykstra-corrected multiplicative scaling of exp(-C/eps).
 
-    Each sweep undoes the previous cycle's scaling for a constraint block,
-    then re-projects: rows are damped onto their caps, then columns, then the
-    total mass is rescaled to alpha.  All scalings are kept in the log domain,
-    which removes the over/underflow failure mode of scaling exp(-C/eps)
-    directly.  Stops when successive scaling vectors are stationary;
-    non-convergence within max_iter is flagged on the plan, not raised.
+    The plan is exp(L0 + log_u + log_v + log_s) for the normalised log kernel
+    L0 = -C/eps - logsumexp(-C/eps) + log(alpha).  Each sweep undoes the
+    previous cycle's scaling for a constraint block, then re-projects: rows
+    are damped onto their caps, then columns, then the total mass is rescaled
+    to alpha.  A sweep costs two matrix-vector products with the kernel
+    K = exp(L0) and one dot product; the scalings themselves stay in logs.
+    When the kernel sums a positive-cap row, a positive-cap column or the
+    total reads below float range (tiny/eps), the solve continues with the
+    same updates as log-sum-exps over L0 for the rest of the sweep budget.
+    Stops when successive scalings are stationary; non-convergence within
+    max_iter is flagged on the plan, not raised.  ``n_iter`` counts sweeps.
     """
     cfg = cfg or SolverConfig()
     C = _cost_entries(C)
@@ -190,37 +218,89 @@ def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) 
         log_a = np.log(a)
         log_b = np.log(b)
     log_alpha = np.log(alpha)
-    log_plan = -C / cfg.eps
-    log_plan = log_plan + (log_alpha - _logsumexp(log_plan))
+    L0 = -C / cfg.eps
+    L0 = L0 + (log_alpha - _logsumexp(L0))
 
-    log_u = np.zeros(m)
-    log_v = np.zeros(n)
+    state = _kernel_sweeps(L0, log_a, log_b, log_alpha, cfg)
+    if state.n_iter < cfg.max_iter and not state.converged:
+        state = _log_sweeps(L0, log_a, log_b, log_alpha, cfg, state)
+
+    log_plan = L0 + state.log_u[:, None] + state.log_v[None, :] + state.log_s
+    plan = TransportPlan(np.exp(log_plan), a, b, alpha, converged=state.converged,
+                         epsilon=cfg.eps, n_iter=state.n_iter)
+    if state.converged:
+        plan.validate(ENTROPIC_FEAS_TOL)
+    return plan
+
+
+@dataclass(frozen=True)
+class _Scalings:
+    """Log scalings of the rows, columns and total after ``n_iter`` sweeps."""
+
+    log_u: np.ndarray
+    log_v: np.ndarray
+    log_s: float
+    n_iter: int
+    converged: bool
+
+
+# kernel sums below this have lost the precision of a double
+_KERNEL_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _kernel_sweeps(L0, log_a, log_b, log_alpha, cfg: SolverConfig) -> _Scalings:
+    """Sweeps as matrix-vector products with exp(L0).
+
+    Returns before the first sweep whose kernel sums leave float range, with
+    the scalings that sweep started from.  Zero-cap rows and columns keep a
+    log scaling of -inf.
+    """
+    K = np.exp(L0)
+    rows, cols = log_a > -np.inf, log_b > -np.inf
+    log_u = np.where(rows, 0.0, -np.inf)
+    log_v = np.where(cols, 0.0, -np.inf)
     log_s = 0.0
-    converged = False
-    for _ in range(cfg.max_iter):
+    for it in range(cfg.max_iter):
+        row_sums = K @ np.exp(log_v)
+        if np.min(row_sums[rows], initial=np.inf) < _KERNEL_FLOOR:
+            return _Scalings(log_u, log_v, log_s, it, False)
+        new_u = log_u.copy()
+        new_u[rows] = np.minimum(log_a[rows] - log_s - np.log(row_sums[rows]), 0.0)
+        col_sums = np.exp(new_u) @ K
+        if np.min(col_sums[cols], initial=np.inf) < _KERNEL_FLOOR:
+            return _Scalings(log_u, log_v, log_s, it, False)
+        new_v = log_v.copy()
+        new_v[cols] = np.minimum(log_b[cols] - log_s - np.log(col_sums[cols]), 0.0)
+        total = float(col_sums @ np.exp(new_v))
+        if total < _KERNEL_FLOOR:
+            return _Scalings(log_u, log_v, log_s, it, False)
+        new_s = log_alpha - np.log(total)
+        change = max(_log_scaling_change(new_u, log_u),
+                     _log_scaling_change(new_v, log_v),
+                     abs(new_s - log_s))
+        log_u, log_v, log_s = new_u, new_v, new_s
+        if change < cfg.tol:
+            return _Scalings(log_u, log_v, log_s, it + 1, True)
+    return _Scalings(log_u, log_v, log_s, cfg.max_iter, False)
+
+
+def _log_sweeps(L0, log_a, log_b, log_alpha, cfg: SolverConfig, start: _Scalings) -> _Scalings:
+    """The same sweeps as log-sum-exps over L0, from ``start`` to the end of
+    the max_iter budget; for inputs whose kernel sums underflow."""
+    log_u, log_v, log_s = start.log_u, start.log_v, start.log_s
+    for it in range(start.n_iter, cfg.max_iter):
         u_prev, v_prev, s_prev = log_u, log_v, log_s
-        shifted = log_plan - log_u[:, None]
-        log_u = np.minimum(log_a - _logsumexp(shifted, axis=1), 0.0)
+        log_u = np.minimum(log_a - log_s - _logsumexp(L0 + log_v[None, :], axis=1), 0.0)
         log_u = np.where(np.isnan(log_u), 0.0, log_u)
-        log_plan = shifted + log_u[:, None]
-        shifted = log_plan - log_v[None, :]
-        log_v = np.minimum(log_b - _logsumexp(shifted, axis=0), 0.0)
+        log_v = np.minimum(log_b - log_s - _logsumexp(L0 + log_u[:, None], axis=0), 0.0)
         log_v = np.where(np.isnan(log_v), 0.0, log_v)
-        log_plan = shifted + log_v[None, :]
-        shifted = log_plan - log_s
-        log_s = log_alpha - _logsumexp(shifted)
-        log_plan = shifted + log_s
+        log_s = log_alpha - _logsumexp(L0 + log_u[:, None] + log_v[None, :])
         change = max(_log_scaling_change(log_u, u_prev),
                      _log_scaling_change(log_v, v_prev),
                      abs(log_s - s_prev))
         if change < cfg.tol:
-            converged = True
-            break
-
-    plan = TransportPlan(np.exp(log_plan), a, b, alpha, converged=converged, epsilon=cfg.eps)
-    if converged:
-        plan.validate(ENTROPIC_FEAS_TOL)
-    return plan
+            return _Scalings(log_u, log_v, log_s, it + 1, True)
+    return _Scalings(log_u, log_v, log_s, cfg.max_iter, False)
 
 
 def brute_force_partial_ot(a, b, C, alpha: float):

@@ -26,6 +26,7 @@ __all__ = [
     "warmpot_step",
     "fixed_plan_value",
     "fixed_plan_gradients",
+    "class_labels",
     "train",
 ]
 
@@ -297,15 +298,25 @@ def _scheme_weights_full(scheme: str, ds: PdaDataset, params: ModelParams,
     raise ValueError(f"unknown weight scheme {scheme!r}")
 
 
+def class_labels(source_y) -> np.ndarray:
+    """Source labels as class indices; the classifier head has one row per
+    index up to the largest, so labels must be nonnegative integers."""
+    y = np.asarray(source_y)
+    if not (np.issubdtype(y.dtype, np.number) and np.all(y >= 0) and np.all(y == np.floor(y))):
+        raise ValueError("source labels must be nonnegative integers")
+    return y.astype(int)
+
+
 def train(ds: PdaDataset, cfg: TrainConfig):
     """Run the full schedule; deterministic for a fixed seed and config.
 
     Returns the final params and a per-iteration trace.  When the dataset
     carries hidden target labels, the trace records the share of source weight
-    on classes absent from the target.
+    on classes absent from the target.  Source labels that are not
+    nonnegative integers raise ValueError.
     """
+    source_y = class_labels(ds.source_y)
     rng = np.random.default_rng(cfg.seed)
-    source_y = np.asarray(ds.source_y, dtype=int)
     n_classes = int(source_y.max()) + 1
     k = cfg.feat_dim or ds.dim
     params = ModelParams.init(ds.dim, k, n_classes, rng)

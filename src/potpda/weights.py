@@ -163,7 +163,7 @@ def _w1_to_uniform_target(p_hat: np.ndarray, dist: np.ndarray):
     n_t = dist.shape[1]
     b = np.full(n_t, 1.0 / n_t)
     plan, _, col_duals = _transport_lp(p_hat, b, dist)
-    return float((plan * dist).sum()), (dist - col_duals).min(axis=1)
+    return plan.cost(dist), (dist - col_duals).min(axis=1)
 
 
 def scheme_arpm(source_feats, target_feats, cfg: ArpmConfig) -> WeightVector:

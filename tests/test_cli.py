@@ -94,6 +94,9 @@ class TestSolveCommand:
             "--out", str(tmp_path / "out")])
         assert code == 0
         assert payload["cost"] == pytest.approx(0.1, abs=1e-9)
+        assert payload["converged"] is True
+        assert isinstance(payload["n_iter"], int) and payload["n_iter"] >= 0
+        assert 0.0 <= payload["max_violation"] <= 1e-9
         plan = np.loadtxt(payload["plan_path"], delimiter=",")
         np.testing.assert_allclose(plan, [[0.1, 0.0], [0.0, 0.4]], atol=1e-9)
 
@@ -108,6 +111,8 @@ class TestSolveCommand:
         assert code == 0
         assert payload["converged"] is True
         assert payload["cost"] == pytest.approx(0.1, rel=0.02)
+        assert 1 <= payload["n_iter"] < 5000
+        assert 0.0 <= payload["max_violation"] <= 1e-6
 
     def test_infeasible_alpha_is_computation_failure(self, tmp_path, capsys):
         np.savetxt(tmp_path / "a.csv", [0.5], delimiter=",")
@@ -203,6 +208,24 @@ class TestExitCodes:
         assert code == 2
         assert str(bad) in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("label", ["-1", "1.5"])
+    def test_train_rejects_labels_that_are_not_class_indices(self, tiny_task, tmp_path, capsys,
+                                                             label):
+        lines = tiny_task.read_text().splitlines()
+        header = lines[0].split(",")
+        y = header.index("y")
+        for k, line in enumerate(lines[1:], 1):
+            cells = line.split(",")
+            if cells[0] == "source" and cells[y] == "2":
+                cells[y] = label
+                lines[k] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--data", str(bad), "--out", str(tmp_path / "out")] + FAST_FLAGS)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err and "nonnegative integers" in err
 
     def test_config_file_that_is_not_utf8_exits_two(self, tiny_task, tmp_path, capsys):
         bad = tmp_path / "cfg.txt"
@@ -404,6 +427,26 @@ class TestBenchAndSweep:
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 3
         assert set(payload["schemes"]) == {"warmpot", "uniform"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bench_prints_null_for_a_scheme_whose_seeds_all_fail(self, tmp_path, capsys):
+        # the learning rate overflows the weights within a few steps, as in
+        # test_synthbench's failure-marker test
+        code = main(["bench", "--schemes", "uniform", "--seeds", "1",
+                     "--task-K", "4", "--task-shared", "2", "--task-d", "2",
+                     "--task-n-s", "40", "--task-n-t", "24", "--task-separation", "4.0",
+                     "--task-noise", "1.0", "--total-iters", "20", "--ramp-iters", "10",
+                     "--batch-size", "16", "--eps", "2.0", "--lr", "1e300",
+                     "--out", str(tmp_path / "bench")])
+        out = capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert code == 0
+        assert payload["schemes"]["uniform"] == {"acc_mean": None, "acc_std": None,
+                                                 "outlier_share": None}
 
     def test_sweep_rows_match_grid(self, tmp_path, capsys):
         out = tmp_path / "sweep"

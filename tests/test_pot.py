@@ -1,11 +1,15 @@
-"""Partial transport solvers against the vertex-enumeration oracle."""
+"""Partial transport solvers against the vertex-enumeration oracle, the
+log-domain entropic loop and the dense-matrix transportation LP."""
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from potpda import pot
 from potpda.pot import (
     SolverConfig,
     TransportPlan,
+    _transport_lp,
     brute_force_partial_ot,
     entropic_partial_ot,
     exact_partial_ot,
@@ -39,6 +43,62 @@ def random_geometry_instance(rng, m=5, n=7, dim=5):
     b = rng.uniform(0.5, 1.5, n) / n
     alpha = 0.5 * min(a.sum(), b.sum())
     return a, b, C, alpha
+
+
+def reference_entropic(a, b, C, alpha, cfg):
+    """Log-domain Dykstra loop, three full-matrix log-sum-exps per sweep: the
+    oracle for the kernel-domain sweeps.
+
+    Each shifted matrix is built from the log kernel and the other two
+    scalings, so the -inf scalings of zero caps never meet an -inf plan entry
+    (-inf - -inf is NaN).
+    """
+    C = np.asarray(C, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_a, log_b = np.log(a), np.log(b)
+    log_alpha = np.log(alpha)
+    L0 = -C / cfg.eps
+    L0 = L0 + (log_alpha - pot._logsumexp(L0))
+    log_u, log_v, log_s = np.zeros(len(a)), np.zeros(len(b)), 0.0
+    for sweep in range(1, cfg.max_iter + 1):
+        u_prev, v_prev, s_prev = log_u, log_v, log_s
+        shifted = L0 + log_v[None, :] + log_s
+        log_u = np.minimum(log_a - pot._logsumexp(shifted, axis=1), 0.0)
+        log_u = np.where(np.isnan(log_u), 0.0, log_u)
+        shifted = L0 + log_u[:, None] + log_s
+        log_v = np.minimum(log_b - pot._logsumexp(shifted, axis=0), 0.0)
+        log_v = np.where(np.isnan(log_v), 0.0, log_v)
+        shifted = L0 + log_u[:, None] + log_v[None, :]
+        log_s = log_alpha - pot._logsumexp(shifted)
+        change = max(pot._log_scaling_change(log_u, u_prev),
+                     pot._log_scaling_change(log_v, v_prev),
+                     abs(log_s - s_prev))
+        if change < cfg.tol:
+            return np.exp(shifted + log_s), True, sweep
+    return np.exp(shifted + log_s), False, cfg.max_iter
+
+
+def reference_transport_lp(a, b, C):
+    """The transportation LP with its dense (m+n) x mn equality matrix."""
+    m, n = C.shape
+    A_eq = np.zeros((m + n, m * n))
+    for i in range(m):
+        A_eq[i, i * n:(i + 1) * n] = 1.0
+    for j in range(n):
+        A_eq[m + j, j::n] = 1.0
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs", options=pot._LP_OPTIONS)
+    assert res.status == 0
+    duals = res.eqlin.marginals
+    return np.clip(res.x, 0.0, None).reshape(m, n), duals[:m], duals[m:], res.nit
+
+
+def assert_matches_reference(a, b, C, alpha, cfg):
+    expected, converged, n_iter = reference_entropic(a, b, C, alpha, cfg)
+    plan = entropic_partial_ot(a, b, C, alpha, cfg)
+    np.testing.assert_allclose(plan.matrix, expected, rtol=0, atol=1e-12)
+    assert (plan.converged, plan.n_iter) == (converged, n_iter)
+    return plan
 
 
 class TestExactPartialOt:
@@ -83,6 +143,37 @@ class TestExactPartialOt:
             a, b, C, alpha = random_geometry_instance(rng)
             plan, _ = exact_partial_ot(a, b, C, alpha)
             assert plan.max_violation() <= 1e-9
+
+    def test_n_iter_is_the_simplex_iteration_count(self, monkeypatch):
+        results = []
+
+        def recording_linprog(*args, **kwargs):
+            results.append(linprog(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(pot, "linprog", recording_linprog)
+        a, b, C, alpha = random_geometry_instance(np.random.default_rng(12))
+        plan, _ = exact_partial_ot(a, b, C, alpha)
+        assert len(results) == 1
+        assert plan.n_iter == results[0].nit > 0
+
+
+class TestTransportLp:
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (24, 24), (25, 24), (30, 31), (40, 45)])
+    def test_bit_identical_to_the_dense_matrix(self, m, n):
+        # sizes on both sides of the dense/sparse threshold
+        assert (m * n < pot._SPARSE_LP_MIN_VARS) == ((m, n) in [(1, 1), (2, 3), (24, 24)])
+        rng = np.random.default_rng(m * 100 + n)
+        C = rng.random((m, n))
+        a = rng.random(m) + 0.1
+        b = rng.random(n) + 0.1
+        b *= a.sum() / b.sum()
+        plan, row_duals, col_duals = _transport_lp(a, b, C)
+        ref_plan, ref_rows, ref_cols, ref_nit = reference_transport_lp(a, b, C)
+        np.testing.assert_array_equal(plan.matrix, ref_plan)
+        np.testing.assert_array_equal(row_duals, ref_rows)
+        np.testing.assert_array_equal(col_duals, ref_cols)
+        assert plan.n_iter == ref_nit
 
 
 class TestBruteForceOracle:
@@ -157,6 +248,63 @@ class TestEntropicPartialOt:
         C = np.array([[np.inf, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             entropic_partial_ot(A2, B2, C, 0.5)
+
+    def test_n_iter_counts_sweeps(self):
+        cfg = SolverConfig(eps=0.05)
+        plan = entropic_partial_ot(A2, B2, C2, ALPHA2, cfg)
+        assert plan.converged and 1 < plan.n_iter < cfg.max_iter
+        short = entropic_partial_ot(A2, B2, C2, ALPHA2, SolverConfig(eps=0.05, max_iter=plan.n_iter - 1))
+        assert not short.converged and short.n_iter == plan.n_iter - 1
+        exact = entropic_partial_ot(A2, B2, C2, ALPHA2, SolverConfig(eps=0.05, max_iter=plan.n_iter))
+        assert exact.converged and exact.n_iter == plan.n_iter
+
+
+class TestEntropicAgainstLogDomainLoop:
+    def test_random_geometry_across_eps(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            m, n = rng.integers(1, 12, size=2)
+            a, b, C, alpha = random_geometry_instance(rng, m=m, n=n, dim=3)
+            for eps in np.geomspace(0.01 * C.max(), 50.0, 6):
+                assert_matches_reference(a, b, C, alpha, SolverConfig(eps=eps))
+
+    def test_nonconverged_runs_match_too(self):
+        rng = np.random.default_rng(42)
+        a, b, C, alpha = random_geometry_instance(rng, m=8, n=9)
+        plan = assert_matches_reference(a, b, C, alpha, SolverConfig(eps=0.01 * C.max(), max_iter=7))
+        assert not plan.converged
+
+    def test_zero_cap_rows_and_columns(self):
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            a, b, C, alpha = random_geometry_instance(rng, m=6, n=7)
+            a[rng.choice(6, 2, replace=False)] = 0.0
+            b[rng.choice(7, 3, replace=False)] = 0.0
+            alpha = 0.5 * min(a.sum(), b.sum())
+            plan = assert_matches_reference(a, b, C, alpha, SolverConfig(eps=0.1 * C.max()))
+            assert plan.converged
+            assert np.all(plan.matrix[a == 0] == 0) and np.all(plan.matrix[:, b == 0] == 0)
+
+    @pytest.mark.parametrize("offset, b, handoff_sweep", [(900.0, [0.4, 0.6], 0),
+                                                          (672.0, [0.3, 0.7], 3)])
+    def test_underflowing_kernel_hands_off_to_the_log_domain(self, monkeypatch, offset, b,
+                                                             handoff_sweep):
+        # the second row's costs sit `offset` eps above the first's: at 900
+        # its kernel row exp(-C/eps) is zero in double precision, at 672 it
+        # drops below range once the column scalings shrink
+        handoffs = []
+        log_sweeps = pot._log_sweeps
+
+        def recording_log_sweeps(*args):
+            handoffs.append(args[-1].n_iter)
+            return log_sweeps(*args)
+
+        monkeypatch.setattr(pot, "_log_sweeps", recording_log_sweeps)
+        a = np.array([0.5, 0.5])
+        C = np.array([[0.0, 1.0], [offset, offset + 1.0]])
+        plan = assert_matches_reference(a, np.array(b), C, 0.9, SolverConfig(eps=1.0))
+        assert plan.converged and handoffs == [handoff_sweep]
+        assert plan.max_violation() <= 1e-6
 
 
 class TestPwDistance:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from potpda.measures import PdaDataset
 from potpda.pot import entropic_partial_ot
 from potpda.synthbench import TaskSpec, generate_pda_task
 from potpda.warmpot import (
@@ -253,6 +254,17 @@ class TestTrain:
             params, trace = train(ds, TrainConfig(weight_scheme=scheme, **base))
             assert len(trace) == 6
             assert np.all(np.isfinite(params.W_f))
+
+    @pytest.mark.parametrize("label", [-1, 1.5])
+    def test_labels_that_are_not_class_indices_rejected(self, label):
+        # a head sized max(label) + 1 would wrap -1 onto the last class and
+        # truncate 1.5 onto class 1
+        ds = generate_pda_task(TaskSpec(n_s=20, n_t=15, seed=4))
+        y = ds.source_y.astype(float)
+        y[y == 2] = label
+        bad = PdaDataset(ds.source_x, y if label % 1 else y.astype(int), ds.target_x)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            train(bad, TrainConfig(total_iters=2, ramp_iters=1, batch_size=8))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
