@@ -21,28 +21,23 @@ from .bounds import (
     min_decomposition_gap,
 )
 from .measures import (
-    CostMatrix,
     Hypothesis,
     LinearFeatureMap,
     LipschitzClassifier,
     LossSpec,
     PdaDataset,
     clipped_abs_loss,
-    cross_entropy_loss,
     empirical_feature_measure,
     feature_cost_matrix,
     joint_cost_matrix,
     load_dataset,
     save_dataset,
-    zero_one_loss,
 )
 from .pot import (
     SolverConfig,
     TransportPlan,
-    brute_force_partial_ot,
     entropic_partial_ot,
     exact_partial_ot,
-    pw_distance,
 )
 from .synthbench import (
     BenchResult,
@@ -69,7 +64,6 @@ from .weights import (
     WeightVector,
     gamma_constrained_weights,
     marginal_weights,
-    normalized_source_weights,
     scheme_arpm,
     scheme_ba3us,
     scheme_uniform,

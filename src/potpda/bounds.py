@@ -43,6 +43,10 @@ __all__ = [
     "pac_bayes_experiment",
 ]
 
+# bias range of the candidate grid built by FiniteClassifierSet.build
+CANDIDATE_BIAS_LOW = -0.5
+CANDIDATE_BIAS_HIGH = 1.5
+
 
 @dataclass(frozen=True)
 class FiniteClassifierSet:
@@ -71,13 +75,13 @@ class FiniteClassifierSet:
         return FiniteClassifierSet(self.candidates + (g,), gamma)
 
     @classmethod
-    def build(cls, gamma: float, feat_dim: int, size: int, rng: np.random.Generator,
-              bias_low: float = -0.5, bias_high: float = 1.5) -> "FiniteClassifierSet":
+    def build(cls, gamma: float, feat_dim: int, size: int,
+              rng: np.random.Generator) -> "FiniteClassifierSet":
         """Grid of candidates: random unit directions crossed with magnitude
         and bias levels, normalized so every candidate is certified."""
         n_levels = max(2, int(round(math.sqrt(size))))
         magnitudes = np.linspace(gamma / n_levels, gamma, n_levels)
-        biases = np.linspace(bias_low, bias_high, n_levels)
+        biases = np.linspace(CANDIDATE_BIAS_LOW, CANDIDATE_BIAS_HIGH, n_levels)
         cands = []
         while len(cands) < size:
             direction = rng.normal(size=feat_dim)
@@ -139,11 +143,7 @@ def _candidate_losses(G: FiniteClassifierSet, feats: np.ndarray, labels: np.ndar
     """Loss of every candidate on every sample, shape (n_candidates, n_samples)."""
     vs, bs = G.stacked()
     preds = np.clip(feats @ vs.T + bs[None, :], 0.0, 1.0)
-    if loss.kind == "clipped-abs":
-        return np.minimum(np.abs(preds - labels[:, None]), 1.0).T
-    if loss.kind == "zero-one":
-        return (preds != labels[:, None]).astype(float).T
-    raise ValueError("candidate minima require a metric loss")
+    return loss.elementwise(preds, labels[:, None]).T
 
 
 def _pooled(ds: PdaDataset):
@@ -158,8 +158,6 @@ def _pooled(ds: PdaDataset):
 def difficulty_term(f: LinearFeatureMap, G: FiniteClassifierSet, inputs, labels,
         loss: LossSpec) -> float:
     """Smallest worst-case loss any candidate achieves on the pooled data."""
-    if not loss.is_metric:
-        raise ValueError("difficulty term requires a metric loss")
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     labels = np.asarray(labels, dtype=float)
     if inputs.shape[0] == 0:
@@ -201,8 +199,6 @@ def feature_bound_report(w: Hypothesis, ds: PdaDataset, alpha: float, beta: floa
     of the 1/beta-inflated source features + TV correction + twice the
     difficulty term.  The left side is evaluated from hidden labels."""
     loss = loss or clipped_abs_loss()
-    if not loss.is_metric:
-        raise ValueError("feature-based bound requires a metric loss")
     if not (0 < alpha <= 1 and 0 < beta <= 1):
         raise ValueError("alpha and beta must lie in (0, 1]")
     _check_hypothesis(w, gamma)
@@ -240,8 +236,6 @@ def joint_bound_report(w: Hypothesis, ds: PdaDataset, alpha: float, beta: float,
     family contains it.
     """
     loss = loss or clipped_abs_loss()
-    if not loss.is_metric:
-        raise ValueError("joint bound requires a metric loss")
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     if not (0 < alpha <= 1 and 0 < beta <= 1):

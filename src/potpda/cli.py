@@ -196,13 +196,9 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 
 
 def _write_histogram(path: Path, counts: np.ndarray) -> None:
-    edges = np.linspace(0.0, 1.0, len(counts) + 1)
-    rows = [[repr(float(edges[i])), repr(float(edges[i + 1])), int(c)]
-            for i, c in enumerate(counts)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "count"])
-        writer.writerows(rows)
+    edges = np.linspace(0.0, 1.0, len(counts) + 1).tolist()
+    _write_csv(path, ["bin_low", "bin_high", "count"],
+               [[edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)])
 
 
 def _emit(payload: dict) -> None:
@@ -220,7 +216,14 @@ def _check_count(flag: str, value: int, least: int) -> None:
         raise ConfigError(f"--{flag} must be at least {least}, got {value}")
 
 
+def _check_alpha(alpha: float, most: float = math.inf) -> None:
+    if not (0 < alpha <= most and math.isfinite(alpha)):
+        bound = "a positive finite number" if most == math.inf else f"in (0, {most:g}]"
+        raise ConfigError(f"--alpha must be {bound}, got {alpha}")
+
+
 def _cmd_solve(args, cfg: RunConfig, out_dir: Path) -> int:
+    _check_alpha(args.alpha)
     a = _load_masses(args.a)
     b = _load_masses(args.b)
     C = _load_csv(args.cost, 2)
@@ -240,6 +243,8 @@ def _cmd_solve(args, cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_weights(args, cfg: RunConfig, out_dir: Path) -> int:
+    if args.alpha is not None:
+        _check_alpha(args.alpha, 1.0)  # the target mass is 1
     ds = _load_task(args.data)
     params = _params_from_file(args.params) if args.params else None
     feats_s = params.features(ds.source_x) if params else ds.source_x

@@ -11,14 +11,11 @@ from scipy.spatial.distance import cdist
 
 __all__ = [
     "PdaDataset",
-    "CostMatrix",
     "LinearFeatureMap",
     "LipschitzClassifier",
     "Hypothesis",
     "LossSpec",
     "clipped_abs_loss",
-    "zero_one_loss",
-    "cross_entropy_loss",
     "empirical_feature_measure",
     "feature_cost_matrix",
     "joint_cost_matrix",
@@ -79,28 +76,8 @@ class PdaDataset:
 
 
 @dataclass(frozen=True)
-class CostMatrix:
-    """Nonnegative finite n_s x n_t ground-cost matrix."""
-
-    entries: np.ndarray
-    kind: Literal["feature", "joint"] = "feature"
-
-    def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.entries, dtype=float))
-        if not np.all(np.isfinite(c)):
-            raise ValueError("cost entries must be finite")
-        if np.any(c < 0):
-            raise ValueError("cost entries must be nonnegative")
-        object.__setattr__(self, "entries", c)
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
-@dataclass(frozen=True)
 class LinearFeatureMap:
-    """Linear feature extractor x -> W x with exactly computable Lipschitz norm."""
+    """Linear feature extractor x -> W x."""
 
     matrix: np.ndarray
 
@@ -112,13 +89,6 @@ class LinearFeatureMap:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.matrix.T
-
-    @property
-    def out_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def lipschitz(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
 
 
 @dataclass(frozen=True)
@@ -156,53 +126,31 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Per-pair label loss.  Metric kinds are bounded metrics mapping into [0,1]."""
+    """Per-pair label loss: a bounded metric mapping into [0, 1]."""
 
-    kind: Literal["clipped-abs", "zero-one", "cross-entropy"]
-    lipschitz: float = 0.0
-
-    METRIC_KINDS = ("clipped-abs", "zero-one")
+    kind: Literal["clipped-abs", "zero-one"]
 
     def __post_init__(self):
-        if self.kind == "clipped-abs" and self.lipschitz != 1.0:
-            raise ValueError("clipped-abs loss has Lipschitz constant 1")
-        if self.lipschitz < 0:
-            raise ValueError("Lipschitz constant must be nonnegative")
-
-    @property
-    def is_metric(self) -> bool:
-        return self.kind in self.METRIC_KINDS
+        if self.kind not in ("clipped-abs", "zero-one"):
+            raise ValueError(f"unknown loss kind {self.kind!r}; expected clipped-abs or zero-one")
 
     def pairwise(self, y: np.ndarray, y_other: np.ndarray) -> np.ndarray:
         """Matrix of losses between every y (rows) and every y_other (columns)."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         y_other = np.atleast_1d(np.asarray(y_other, dtype=float))
-        if self.kind == "clipped-abs":
-            return np.minimum(np.abs(y[:, None] - y_other[None, :]), 1.0)
-        if self.kind == "zero-one":
-            return (y[:, None] != y_other[None, :]).astype(float)
-        raise ValueError("cross-entropy loss has no scalar pairwise form")
+        return self.elementwise(y[:, None], y_other[None, :])
 
     def elementwise(self, y_pred: np.ndarray, y_true: np.ndarray) -> np.ndarray:
+        """Losses of matching entries; the two arrays broadcast."""
         y_pred = np.atleast_1d(np.asarray(y_pred, dtype=float))
         y_true = np.atleast_1d(np.asarray(y_true, dtype=float))
         if self.kind == "clipped-abs":
             return np.minimum(np.abs(y_pred - y_true), 1.0)
-        if self.kind == "zero-one":
-            return (y_pred != y_true).astype(float)
-        raise ValueError("cross-entropy loss has no scalar elementwise form")
+        return (y_pred != y_true).astype(float)
 
 
 def clipped_abs_loss() -> LossSpec:
-    return LossSpec("clipped-abs", lipschitz=1.0)
-
-
-def zero_one_loss() -> LossSpec:
-    return LossSpec("zero-one")
-
-
-def cross_entropy_loss() -> LossSpec:
-    return LossSpec("cross-entropy")
+    return LossSpec("clipped-abs")
 
 
 def empirical_feature_measure(samples, feature_map: LinearFeatureMap, scale: float):
@@ -220,7 +168,7 @@ def empirical_feature_measure(samples, feature_map: LinearFeatureMap, scale: flo
     return np.full(n, scale / n), feature_map(x)
 
 
-def feature_cost_matrix(source_feats, target_feats, gamma: float) -> CostMatrix:
+def feature_cost_matrix(source_feats, target_feats, gamma: float) -> np.ndarray:
     """Cost (i, j) = gamma * ||f_i - f~_j|| between precomputed features."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -228,19 +176,17 @@ def feature_cost_matrix(source_feats, target_feats, gamma: float) -> CostMatrix:
     ft = np.atleast_2d(np.asarray(target_feats, dtype=float))
     if fs.shape[1] != ft.shape[1]:
         raise ValueError("feature dimensions differ")
-    return CostMatrix(gamma * cdist(fs, ft), kind="feature")
+    return gamma * cdist(fs, ft)
 
 
 def joint_cost_matrix(source_feats, source_labels, target_feats, predicted_labels,
-                      zeta_gamma: float, loss: LossSpec) -> CostMatrix:
+                      zeta_gamma: float, loss: LossSpec) -> np.ndarray:
     """Joint ground cost: zeta*gamma * feature distance + label-loss distance.
 
     zeta_gamma = 0 degenerates to the pure label-distance matrix.
     """
     if zeta_gamma < 0:
         raise ValueError("zeta_gamma must be nonnegative")
-    if not loss.is_metric:
-        raise ValueError("joint cost requires metric loss")
     fs = np.atleast_2d(np.asarray(source_feats, dtype=float))
     ft = np.atleast_2d(np.asarray(target_feats, dtype=float))
     if fs.shape[1] != ft.shape[1]:
@@ -249,7 +195,7 @@ def joint_cost_matrix(source_feats, source_labels, target_feats, predicted_label
     y_pred = np.asarray(predicted_labels, dtype=float)
     if y_pred.shape[0] != ft.shape[0]:
         raise ValueError("predicted labels misaligned with target features")
-    return CostMatrix(zeta_gamma * cdist(fs, ft) + loss.pairwise(y, y_pred), kind="joint")
+    return zeta_gamma * cdist(fs, ft) + loss.pairwise(y, y_pred)
 
 
 def load_dataset(path) -> PdaDataset:

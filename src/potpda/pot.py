@@ -1,4 +1,4 @@
-"""Exact, entropic, and brute-force solvers for fixed-mass partial transport.
+"""Exact and entropic solvers for fixed-mass partial transport.
 
 The problem: minimize sum(C * P) over nonnegative plans P with row sums
 dominated by ``a``, column sums dominated by ``b``, and total mass exactly
@@ -9,26 +9,20 @@ appending one dummy row and column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
-
-from .measures import CostMatrix
 
 __all__ = [
     "TransportPlan",
     "SolverConfig",
     "exact_partial_ot",
     "entropic_partial_ot",
-    "brute_force_partial_ot",
-    "pw_distance",
 ]
 
 EXACT_FEAS_TOL = 1e-9
 ENTROPIC_FEAS_TOL = 1e-6
-BRUTE_FORCE_MAX_VARS = 6
 
 # linprog stacks a sparse constraint matrix with scipy.sparse, about 0.5-1 ms
 # per call, which pays for itself only on larger LPs.  Per call on a 2-core
@@ -66,8 +60,11 @@ class TransportPlan:
         object.__setattr__(self, "col_caps", np.asarray(self.col_caps, dtype=float))
 
     def max_violation(self) -> float:
-        """Largest constraint violation: negativity, cap excess, or mass error."""
+        """Largest constraint violation: negativity, cap excess, or mass error;
+        infinite when an entry is not finite."""
         p = self.matrix
+        if not np.all(np.isfinite(p)):
+            return np.inf
         neg = max(0.0, float(-p.min())) if p.size else 0.0
         row_excess = float(np.max(p.sum(axis=1) - self.row_caps, initial=0.0))
         col_excess = float(np.max(p.sum(axis=0) - self.col_caps, initial=0.0))
@@ -101,8 +98,6 @@ class SolverConfig:
 
 
 def _cost_entries(C) -> np.ndarray:
-    if isinstance(C, CostMatrix):
-        return C.entries
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if not np.all(np.isfinite(C)):
         raise ValueError("cost matrix must be finite")
@@ -301,80 +296,3 @@ def _log_sweeps(L0, log_a, log_b, log_alpha, cfg: SolverConfig, start: _Scalings
         if change < cfg.tol:
             return _Scalings(log_u, log_v, log_s, it + 1, True)
     return _Scalings(log_u, log_v, log_s, cfg.max_iter, False)
-
-
-def brute_force_partial_ot(a, b, C, alpha: float):
-    """Test oracle: enumerate feasibility-polytope vertices of tiny instances.
-
-    Every vertex activates the mass equality plus a choice of m*n - 1 further
-    constraints among nonnegativity and the marginal caps; the cheapest
-    feasible vertex is optimal for this linear objective.
-    """
-    C = _cost_entries(C)
-    a, b, alpha = _check_masses(a, b, alpha)
-    m, n = C.shape
-    n_var = m * n
-    if n_var > BRUTE_FORCE_MAX_VARS:
-        raise ValueError(f"instance too large for brute force: {n_var} > {BRUTE_FORCE_MAX_VARS} variables")
-
-    # Constraint rows: x_k = 0, row sums = a_i, column sums = b_j.
-    rows = []
-    rhs = []
-    for k in range(n_var):
-        e = np.zeros(n_var)
-        e[k] = 1.0
-        rows.append(e)
-        rhs.append(0.0)
-    for i in range(m):
-        e = np.zeros(n_var)
-        e[i * n:(i + 1) * n] = 1.0
-        rows.append(e)
-        rhs.append(a[i])
-    for j in range(n):
-        e = np.zeros(n_var)
-        e[j::n] = 1.0
-        rows.append(e)
-        rhs.append(b[j])
-    rows = np.asarray(rows)
-    rhs = np.asarray(rhs)
-    total_row = np.ones(n_var)
-
-    subsets = list(combinations(range(len(rows)), n_var - 1))
-    systems = np.empty((len(subsets), n_var, n_var))
-    targets = np.empty((len(subsets), n_var))
-    for k, idx in enumerate(subsets):
-        systems[k, 0] = total_row
-        targets[k, 0] = alpha
-        if idx:
-            systems[k, 1:] = rows[list(idx)]
-            targets[k, 1:] = rhs[list(idx)]
-
-    keep = np.abs(np.linalg.det(systems)) > 1e-9
-    if not np.any(keep):
-        raise RuntimeError("no nondegenerate active set found")
-    sols = np.linalg.solve(systems[keep], targets[keep][:, :, None])[:, :, 0]
-
-    tol = 1e-10
-    feas = np.all(sols >= -tol, axis=1)
-    grids = sols.reshape(-1, m, n)
-    feas &= np.all(grids.sum(axis=2) <= a[None, :] + tol, axis=1)
-    feas &= np.all(grids.sum(axis=1) <= b[None, :] + tol, axis=1)
-    if not np.any(feas):
-        raise RuntimeError("no feasible vertex found")
-    costs = sols @ C.ravel()
-    costs[~feas] = np.inf
-    best = int(np.argmin(costs))
-    plan = TransportPlan(np.clip(grids[best], 0.0, None), a, b, alpha)
-    return plan, float(costs[best])
-
-
-def pw_distance(a, b, C, alpha: float, method: str = "exact",
-                cfg: SolverConfig | None = None) -> float:
-    """Value sum(C * P) of the chosen solver's plan."""
-    if method == "exact":
-        _, cost = exact_partial_ot(a, b, C, alpha)
-        return cost
-    if method == "entropic":
-        plan = entropic_partial_ot(a, b, C, alpha, cfg)
-        return plan.cost(C)
-    raise ValueError(f"unknown method {method!r}")

@@ -116,7 +116,7 @@ def final_source_weights(params: ModelParams, ds: PdaDataset, cfg: TrainConfig):
     plan = entropic_partial_ot(a, b, cost, min(cfg.alpha_max, 1.0), cfg.solver())
     p_hat = plan.matrix.sum(axis=1)
     normalized = np.clip(p_hat * cfg.beta * ds.n_s, 0.0, 1.0)
-    return WeightVector(p_hat, "warmpot"), normalized
+    return WeightVector(p_hat), normalized
 
 
 def _seed_list(seeds) -> list[int]:

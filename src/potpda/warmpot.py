@@ -185,7 +185,7 @@ def _solve(fwd: _Forward, alpha: float, cfg: TrainConfig):
     b = np.full(n_bt, 1.0 / n_bt)
     alpha_eff = min(alpha, a.sum(), b.sum())
     plan = entropic_partial_ot(a, b, fwd.cost, alpha_eff, cfg.solver())
-    return plan, WeightVector(plan.matrix.sum(axis=1), "warmpot")
+    return plan, WeightVector(plan.matrix.sum(axis=1))
 
 
 def _value(fwd: _Forward, plan_matrix: np.ndarray, source_weights: np.ndarray) -> float:

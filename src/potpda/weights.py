@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -15,7 +14,6 @@ __all__ = [
     "ArpmConfig",
     "marginal_weights",
     "tv_term",
-    "normalized_source_weights",
     "scheme_uniform",
     "scheme_ba3us",
     "scheme_arpm",
@@ -23,15 +21,11 @@ __all__ = [
     "weight_histogram",
 ]
 
-CAP_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative per-sample weights and the scheme that produced them."""
+    """Nonnegative per-sample weights."""
 
     values: np.ndarray
-    scheme: Literal["warmpot", "uniform", "ba3us", "arpm"]
 
     def __post_init__(self):
         w = np.asarray(self.values, dtype=float)
@@ -65,7 +59,7 @@ def marginal_weights(plan: TransportPlan):
     """Row and column sums of a coupling; both sum to the plan mass."""
     p = plan.matrix.sum(axis=1)
     q = plan.matrix.sum(axis=0)
-    return WeightVector(p, "warmpot"), WeightVector(q, "warmpot")
+    return WeightVector(p), WeightVector(q)
 
 
 def tv_term(q: WeightVector | np.ndarray, alpha: float, n_t: int) -> float:
@@ -78,21 +72,10 @@ def tv_term(q: WeightVector | np.ndarray, alpha: float, n_t: int) -> float:
     return 0.5 * float(np.abs(1.0 / n_t - q / alpha).sum())
 
 
-def normalized_source_weights(p: WeightVector, beta: float, n_s: int) -> WeightVector:
-    """Rescale marginal source weights by their cap 1/(beta*n_s) into [0, 1]."""
-    cap = 1.0 / (beta * n_s)
-    values = p.values
-    if values.shape[0] != n_s:
-        raise ValueError("weight count does not match n_s")
-    if np.any(values > cap + max(CAP_TOL, 1e-9 * cap)):
-        raise ValueError("weights exceed the cap 1/(beta*n_s); upstream plan is infeasible")
-    return WeightVector(np.clip(values / cap, 0.0, 1.0), p.scheme)
-
-
 def scheme_uniform(n_s: int) -> WeightVector:
     if n_s < 1:
         raise ValueError("n_s must be at least 1")
-    return WeightVector(np.full(n_s, 1.0 / n_s), "uniform")
+    return WeightVector(np.full(n_s, 1.0 / n_s))
 
 
 def scheme_ba3us(target_predictions, source_labels, n_t: int) -> WeightVector:
@@ -102,7 +85,7 @@ def scheme_ba3us(target_predictions, source_labels, n_t: int) -> WeightVector:
     classes, counts = np.unique(preds, return_counts=True)
     freq = dict(zip(classes.tolist(), counts.tolist()))
     values = np.array([freq.get(y, 0) for y in labels.tolist()], dtype=float) / n_t
-    return WeightVector(values, "ba3us")
+    return WeightVector(values)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -192,7 +175,7 @@ def scheme_arpm(source_feats, target_feats, cfg: ArpmConfig) -> WeightVector:
     n_s = fs.shape[0]
     uniform = np.full(n_s, 1.0 / n_s)
     if cfg.rho == 0.0:
-        return WeightVector(uniform, "arpm")
+        return WeightVector(uniform)
 
     dist = cdist(fs, ft)
     radius = float(np.sqrt(cfg.rho / n_s))
@@ -208,7 +191,7 @@ def scheme_arpm(source_feats, target_feats, cfg: ArpmConfig) -> WeightVector:
         val, duals = _w1_to_uniform_target(p, dist)
         if val < best_val:
             best_val, best = val, p
-    return WeightVector(best, "arpm")
+    return WeightVector(best)
 
 
 def gamma_constrained_weights(source_feats, target_feats, beta: float) -> WeightVector:
@@ -229,7 +212,7 @@ def gamma_constrained_weights(source_feats, target_feats, beta: float) -> Weight
     a = np.full(n_s, 1.0 / (beta * n_s))
     b = np.full(n_t, 1.0 / n_t)
     plan, _ = exact_partial_ot(a, b, cdist(fs, ft), 1.0)
-    return WeightVector(plan.matrix.sum(axis=1), "warmpot")
+    return WeightVector(plan.matrix.sum(axis=1))
 
 
 def weight_histogram(normalized_values, bins: int = 20) -> np.ndarray:

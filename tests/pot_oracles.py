@@ -1,0 +1,98 @@
+"""Slow reference solvers for fixed-mass partial transport, kept as test oracles.
+
+``brute_force_partial_ot`` enumerates the vertices of the feasibility polytope
+of tiny instances; ``pw_distance`` is the transport value of either production
+solver's plan.
+"""
+
+from itertools import combinations
+
+import numpy as np
+
+from potpda.pot import (
+    SolverConfig,
+    TransportPlan,
+    _check_masses,
+    _cost_entries,
+    entropic_partial_ot,
+    exact_partial_ot,
+)
+
+BRUTE_FORCE_MAX_VARS = 6
+
+
+def brute_force_partial_ot(a, b, C, alpha: float):
+    """Test oracle: enumerate feasibility-polytope vertices of tiny instances.
+
+    Every vertex activates the mass equality plus a choice of m*n - 1 further
+    constraints among nonnegativity and the marginal caps; the cheapest
+    feasible vertex is optimal for this linear objective.
+    """
+    C = _cost_entries(C)
+    a, b, alpha = _check_masses(a, b, alpha)
+    m, n = C.shape
+    n_var = m * n
+    if n_var > BRUTE_FORCE_MAX_VARS:
+        raise ValueError(f"instance too large for brute force: {n_var} > {BRUTE_FORCE_MAX_VARS} variables")
+
+    # Constraint rows: x_k = 0, row sums = a_i, column sums = b_j.
+    rows = []
+    rhs = []
+    for k in range(n_var):
+        e = np.zeros(n_var)
+        e[k] = 1.0
+        rows.append(e)
+        rhs.append(0.0)
+    for i in range(m):
+        e = np.zeros(n_var)
+        e[i * n:(i + 1) * n] = 1.0
+        rows.append(e)
+        rhs.append(a[i])
+    for j in range(n):
+        e = np.zeros(n_var)
+        e[j::n] = 1.0
+        rows.append(e)
+        rhs.append(b[j])
+    rows = np.asarray(rows)
+    rhs = np.asarray(rhs)
+    total_row = np.ones(n_var)
+
+    subsets = list(combinations(range(len(rows)), n_var - 1))
+    systems = np.empty((len(subsets), n_var, n_var))
+    targets = np.empty((len(subsets), n_var))
+    for k, idx in enumerate(subsets):
+        systems[k, 0] = total_row
+        targets[k, 0] = alpha
+        if idx:
+            systems[k, 1:] = rows[list(idx)]
+            targets[k, 1:] = rhs[list(idx)]
+
+    keep = np.abs(np.linalg.det(systems)) > 1e-9
+    if not np.any(keep):
+        raise RuntimeError("no nondegenerate active set found")
+    sols = np.linalg.solve(systems[keep], targets[keep][:, :, None])[:, :, 0]
+
+    tol = 1e-10
+    feas = np.all(sols >= -tol, axis=1)
+    grids = sols.reshape(-1, m, n)
+    feas &= np.all(grids.sum(axis=2) <= a[None, :] + tol, axis=1)
+    feas &= np.all(grids.sum(axis=1) <= b[None, :] + tol, axis=1)
+    if not np.any(feas):
+        raise RuntimeError("no feasible vertex found")
+    costs = sols @ C.ravel()
+    costs[~feas] = np.inf
+    best = int(np.argmin(costs))
+    plan = TransportPlan(np.clip(grids[best], 0.0, None), a, b, alpha)
+    return plan, float(costs[best])
+
+
+def pw_distance(a, b, C, alpha: float, method: str = "exact",
+                cfg: SolverConfig | None = None) -> float:
+    """Value sum(C * P) of the chosen solver's plan."""
+    if method == "exact":
+        _, cost = exact_partial_ot(a, b, C, alpha)
+        return cost
+    if method == "entropic":
+        plan = entropic_partial_ot(a, b, C, alpha, cfg)
+        return plan.cost(C)
+    raise ValueError(f"unknown method {method!r}")

@@ -12,16 +12,11 @@ from scipy.spatial.distance import cdist
 from potpda.bounds import bound_check, pac_bayes_experiment
 from potpda.cli import main as cli_main
 from potpda.measures import save_dataset
-from potpda.pot import (
-    SolverConfig,
-    brute_force_partial_ot,
-    entropic_partial_ot,
-    exact_partial_ot,
-    pw_distance,
-)
+from potpda.pot import SolverConfig, entropic_partial_ot, exact_partial_ot
 from potpda.synthbench import TaskSpec, compare_schemes, generate_pda_task
 from potpda.warmpot import TrainConfig, fixed_plan_gradients, fixed_plan_value, warmpot_objective
 from potpda.weights import _w1_to_uniform_target, gamma_constrained_weights, marginal_weights
+from pot_oracles import brute_force_partial_ot, pw_distance
 
 
 def _report(num: int, description: str, passed: bool, detail: str = ""):

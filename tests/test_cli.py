@@ -244,12 +244,23 @@ class TestExitCodes:
         ["sweep", "--param", "beta", "--grid", "abc"],
         ["make-task", "--task-shared", "9"],
         ["make-task", "--task-d", "0"],
+        *(["weights", "--scheme", "warmpot", "--data", "{task}", "--alpha", alpha]
+          for alpha in ("0", "-0.5", "nan", "5")),
+        *(["solve", "--a", "{a}", "--b", "{b}", "--cost", "{cost}", "--alpha", alpha]
+          for alpha in ("0", "nan")),
     ], ids=" ".join)
-    def test_bad_count_grid_or_cross_key_value_exits_two(self, tmp_path, capsys, argv):
+    def test_bad_count_grid_or_cross_key_value_exits_two(self, tiny_task, tmp_path, capsys, argv):
+        inputs = {"task": tiny_task}
+        for name, text in (("a", "0.6\n0.4\n"), ("b", "0.5\n0.5\n"), ("cost", "1,2\n3,0\n")):
+            inputs[name] = tmp_path / f"{name}.csv"
+            inputs[name].write_text(text)
+        argv = [arg.format(**inputs) for arg in argv]
         code = main(argv + ["--out", str(tmp_path / "out")] + FAST_FLAGS)
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.strip().splitlines()) == 1
+        if "--alpha" in argv:
+            assert "--alpha" in err
 
     def test_ramp_longer_than_schedule_exits_two(self, tiny_task, tmp_path, capsys):
         code = main(["train", "--data", str(tiny_task), "--ramp-iters", "6000",

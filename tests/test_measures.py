@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from potpda.measures import (
     LinearFeatureMap,
     LipschitzClassifier,
+    LossSpec,
     PdaDataset,
     clipped_abs_loss,
-    cross_entropy_loss,
     empirical_feature_measure,
     feature_cost_matrix,
     joint_cost_matrix,
     load_dataset,
     save_dataset,
-    zero_one_loss,
 )
 
 IDENTITY_2D = LinearFeatureMap(np.eye(2))
@@ -55,11 +54,11 @@ class TestFeatureCostMatrix:
     def test_zero_diagonal_on_identical_lists(self):
         feats = np.arange(6.0).reshape(3, 2)
         C = feature_cost_matrix(feats, feats, 1.0)
-        np.testing.assert_allclose(np.diag(C.entries), 0.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(C), 0.0, atol=1e-12)
 
     def test_scalar_example(self):
         C = feature_cost_matrix([[0.0], [3.0]], [[4.0]], 2.0)
-        np.testing.assert_allclose(C.entries, [[8.0], [2.0]])
+        np.testing.assert_allclose(C, [[8.0], [2.0]])
 
     def test_matches_elementwise_recomputation(self):
         rng = np.random.default_rng(42)
@@ -70,12 +69,12 @@ class TestFeatureCostMatrix:
         for i in range(3):
             for j in range(2):
                 expected = gamma * np.sqrt(((fs[i] - ft[j]) ** 2).sum())
-                assert C.entries[i, j] == pytest.approx(expected, abs=1e-12)
+                assert C[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_triangle_inequality_on_random_triples(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(30, 3))
-        C = feature_cost_matrix(pts, pts, 2.5).entries
+        C = feature_cost_matrix(pts, pts, 2.5)
         for _ in range(200):
             i, j, k = rng.integers(0, 30, size=3)
             assert C[i, k] <= C[i, j] + C[j, k] + 1e-9
@@ -90,14 +89,14 @@ class TestJointCostMatrix:
         feats = np.arange(4.0).reshape(2, 2)
         labels = np.array([0.2, 0.7])
         C = joint_cost_matrix(feats, labels, feats, labels, 1.0, clipped_abs_loss())
-        np.testing.assert_allclose(np.diag(C.entries), 0.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(C), 0.0, atol=1e-12)
 
     def test_zero_feature_weight_gives_pure_label_distance(self):
         rng = np.random.default_rng(0)
         fs, ft = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
         ys, yt = rng.uniform(0, 1, 3), rng.uniform(0, 1, 4)
         C = joint_cost_matrix(fs, ys, ft, yt, 0.0, clipped_abs_loss())
-        np.testing.assert_allclose(C.entries, np.minimum(np.abs(ys[:, None] - yt[None, :]), 1.0))
+        np.testing.assert_allclose(C, np.minimum(np.abs(ys[:, None] - yt[None, :]), 1.0))
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(3)
@@ -108,7 +107,7 @@ class TestJointCostMatrix:
         for i in range(2):
             for j in range(2):
                 expected = zg * np.linalg.norm(fs[i] - ft[j]) + min(abs(ys[i] - yt[j]), 1.0)
-                assert C.entries[i, j] == pytest.approx(expected, abs=1e-12)
+                assert C[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_equal_labels_reduce_to_feature_cost(self):
         rng = np.random.default_rng(9)
@@ -118,12 +117,7 @@ class TestJointCostMatrix:
         zg = 1.9
         joint = joint_cost_matrix(fs, labels_s, ft, labels_t, zg, clipped_abs_loss())
         feat = feature_cost_matrix(fs, ft, 1.0)
-        np.testing.assert_allclose(joint.entries, zg * feat.entries, atol=1e-12)
-
-    def test_cross_entropy_rejected(self):
-        with pytest.raises(ValueError, match="joint cost requires metric loss"):
-            joint_cost_matrix(np.zeros((2, 2)), [0, 1], np.zeros((2, 2)), [0, 1],
-                              1.0, cross_entropy_loss())
+        np.testing.assert_allclose(joint, zg * feat, atol=1e-12)
 
 
 class TestLossSpecs:
@@ -141,12 +135,12 @@ class TestLossSpecs:
         assert ell(a, c) <= ell(a, b) + ell(b, c) + 1e-12
 
     def test_zero_one_values(self):
-        loss = zero_one_loss()
+        loss = LossSpec("zero-one")
         np.testing.assert_allclose(loss.pairwise([0, 1], [0, 1]), [[0, 1], [1, 0]])
 
-    def test_cross_entropy_has_no_pairwise(self):
-        with pytest.raises(ValueError):
-            cross_entropy_loss().pairwise([0.0], [1.0])
+    def test_only_bounded_metric_kinds(self):
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            LossSpec("cross-entropy")
 
 
 class TestHypothesis:
@@ -160,10 +154,6 @@ class TestHypothesis:
         g = LipschitzClassifier(np.array([1.0]), 0.0, gamma=1.0)
         out = g(np.array([[-5.0], [0.5], [5.0]]))
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
-
-    def test_feature_map_lipschitz_is_spectral_norm(self):
-        W = np.array([[3.0, 0.0], [0.0, 1.0]])
-        assert LinearFeatureMap(W).lipschitz() == pytest.approx(3.0)
 
 
 class TestPdaDataset:

@@ -10,11 +10,10 @@ from potpda.pot import (
     SolverConfig,
     TransportPlan,
     _transport_lp,
-    brute_force_partial_ot,
     entropic_partial_ot,
     exact_partial_ot,
-    pw_distance,
 )
+from pot_oracles import brute_force_partial_ot, pw_distance
 
 # Oracle-confirmed instance: optimum fills the zero-cost cell to its row cap
 # and routes the remainder through the cheapest remaining cell.
@@ -343,9 +342,10 @@ class TestPwDistance:
 
 class TestTransportPlanType:
     def test_validate_raises_on_violation(self):
-        plan = TransportPlan(np.array([[0.6]]), np.array([0.5]), np.array([1.0]), 0.6)
-        with pytest.raises(ValueError, match="infeasible"):
-            plan.validate(1e-9)
+        for plan in (TransportPlan(np.array([[0.6]]), np.array([0.5]), np.array([1.0]), 0.6),
+                     TransportPlan([[np.nan, 0.1]], [1.0], [1.0, 1.0], 0.5)):
+            with pytest.raises(ValueError, match="infeasible"):
+                plan.validate(1e-9)
 
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):

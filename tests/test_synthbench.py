@@ -63,12 +63,12 @@ class TestGeneratePdaTask:
 class TestOutlierWeightShare:
     def test_uniform_weights_give_sample_share(self):
         labels = np.array([0, 0, 0, 2, 2])  # 2 of 5 samples are outliers for shared=2
-        wv = WeightVector(np.full(5, 0.2), "uniform")
+        wv = WeightVector(np.full(5, 0.2))
         assert outlier_weight_share(wv, labels, 2) == pytest.approx(0.4)
 
     def test_all_weight_on_shared_is_zero(self):
         labels = np.array([0, 1, 3])
-        wv = WeightVector(np.array([0.5, 0.5, 0.0]), "warmpot")
+        wv = WeightVector(np.array([0.5, 0.5, 0.0]))
         assert outlier_weight_share(wv, labels, 2) == 0.0
 
     def test_zero_total_rejected(self):

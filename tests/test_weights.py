@@ -8,10 +8,8 @@ from potpda.pot import TransportPlan, _transport_lp, exact_partial_ot
 from potpda.synthbench import TaskSpec, generate_pda_task
 from potpda.weights import (
     ArpmConfig,
-    WeightVector,
     gamma_constrained_weights,
     marginal_weights,
-    normalized_source_weights,
     scheme_arpm,
     scheme_ba3us,
     scheme_uniform,
@@ -89,28 +87,6 @@ class TestTvTerm:
     def test_alpha_positive(self):
         with pytest.raises(ValueError):
             tv_term(np.array([0.1]), 0.0, 1)
-
-
-class TestNormalizedSourceWeights:
-    def test_cap_maps_to_one(self):
-        beta, n_s = 0.5, 4
-        p = WeightVector(np.array([1.0 / (beta * n_s)] * n_s), "warmpot")
-        out = normalized_source_weights(p, beta, n_s)
-        np.testing.assert_allclose(out.values, 1.0)
-
-    def test_zero_maps_to_zero(self):
-        p = WeightVector(np.zeros(3), "warmpot")
-        np.testing.assert_allclose(normalized_source_weights(p, 0.5, 3).values, 0.0)
-
-    def test_derived_instance(self):
-        p, _ = marginal_weights(derived_plan())
-        out = normalized_source_weights(p, 1.0, 2)
-        np.testing.assert_allclose(out.values, [0.2, 0.8], atol=1e-9)
-
-    def test_cap_violation_raises(self):
-        p = WeightVector(np.array([0.9]), "warmpot")
-        with pytest.raises(ValueError, match="cap"):
-            normalized_source_weights(p, 2.0, 1)
 
 
 class TestSchemeUniform:
