@@ -12,7 +12,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .bounds import bound_check
 from .measures import load_dataset, save_dataset
@@ -29,7 +28,7 @@ from .warmpot import SCHEMES, ModelParams, TrainConfig, class_labels, train
 from .weights import (
     ArpmConfig,
     gamma_constrained_weights,
-    marginal_weights,
+    marginal_weights,  # noqa: F401 - wrapped by name in perfbench/spans.py
     scheme_arpm,
     scheme_ba3us,
     scheme_uniform,
@@ -182,9 +181,32 @@ def _params_to_dict(params: ModelParams) -> dict:
     return {"W_f": params.W_f.tolist(), "W_g": params.W_g.tolist(), "bias": params.bias.tolist()}
 
 
-def _params_from_file(path) -> ModelParams:
-    blob = json.loads(Path(path).read_text())
-    return ModelParams(np.asarray(blob["W_f"]), np.asarray(blob["W_g"]), np.asarray(blob["bias"]))
+def _params_from_file(path, dim: int) -> ModelParams:
+    """Finite model parameters whose shapes agree with each other and with
+    `dim`-dimensional inputs; anything else is an input error naming the file."""
+    try:
+        blob = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not (isinstance(blob, dict) and {"W_f", "W_g", "bias"} <= blob.keys()):
+            raise ValueError("expected an object with keys W_f, W_g and bias")
+        params = ModelParams(*(np.asarray(blob[k], dtype=float) for k in ("W_f", "W_g", "bias")))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    W_f, W_g, bias = params.W_f, params.W_g, params.bias
+    if not (W_f.ndim == W_g.ndim == 2 and W_f.shape[1] == dim and W_g.shape[1] == W_f.shape[0]
+            and bias.shape == W_g.shape[:1]):
+        raise ConfigError(f"{path}: shapes W_f {W_f.shape}, W_g {W_g.shape} and bias "
+                          f"{bias.shape} do not fit each other and {dim}-d inputs")
+    return params
+
+
+def _predictions(params: ModelParams, x: np.ndarray, path) -> np.ndarray:
+    """Class predictions on x; params whose logits overflow there are an input
+    error naming the file."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = params.features(x) @ params.W_g.T + params.bias
+        if not np.all(np.isfinite(logits - logits.max(axis=1, keepdims=True))):
+            raise ConfigError(f"{path}: the logits overflow on the task's target inputs")
+    return params.predict(x)
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -243,39 +265,34 @@ def _cmd_solve(args, cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_weights(args, cfg: RunConfig, out_dir: Path) -> int:
+    scheme = args.scheme
     if args.alpha is not None:
+        if scheme != "warmpot":
+            raise ConfigError(f"--alpha applies only to --scheme warmpot, not {scheme}")
         _check_alpha(args.alpha, 1.0)  # the target mass is 1
     ds = _load_task(args.data)
-    params = _params_from_file(args.params) if args.params else None
-    feats_s = params.features(ds.source_x) if params else ds.source_x
-    feats_t = params.features(ds.target_x) if params else ds.target_x
+    params = _params_from_file(args.params, ds.dim) if args.params else None
+    if scheme in ("warmpot", "arpm"):
+        feats_s = params.features(ds.source_x) if params else ds.source_x
+        feats_t = params.features(ds.target_x) if params else ds.target_x
 
-    scheme = args.scheme
-    if scheme == "uniform":
-        wv = scheme_uniform(ds.n_s)
-        normalized = wv.values * ds.n_s
-    elif scheme == "ba3us":
-        if params is None:
-            raise ConfigError("ba3us weights need --params for target predictions")
-        wv = scheme_ba3us(params.predict(ds.target_x), ds.source_y, ds.n_t)
-        normalized = np.clip(wv.values / max(wv.values.max(), 1e-300), 0.0, 1.0)
-    elif scheme == "arpm":
-        wv = scheme_arpm(feats_s, feats_t, cfg.train.arpm)
-        normalized = np.clip(wv.values / max(wv.values.max(), 1e-300), 0.0, 1.0)
-    else:
+    if scheme == "warmpot":
         alpha = args.alpha if args.alpha is not None else cfg.train.alpha_max
-        if alpha >= 1.0:
-            wv = gamma_constrained_weights(feats_s, feats_t, cfg.train.beta)
+        wv = gamma_constrained_weights(feats_s, feats_t, cfg.train.beta, alpha)
+        normalized = wv.values * cfg.train.beta * ds.n_s
+    else:
+        if scheme == "uniform":
+            wv = scheme_uniform(ds.n_s)
+        elif scheme == "ba3us":
+            if params is None:
+                raise ConfigError("ba3us weights need --params for target predictions")
+            wv = scheme_ba3us(_predictions(params, ds.target_x, args.params), ds.source_y, ds.n_t)
         else:
-            a = np.full(ds.n_s, 1.0 / (cfg.train.beta * ds.n_s))
-            b = np.full(ds.n_t, 1.0 / ds.n_t)
-            plan, _ = exact_partial_ot(a, b, cdist(feats_s, feats_t), alpha)
-            wv, _ = marginal_weights(plan)
-        normalized = np.clip(wv.values * cfg.train.beta * ds.n_s, 0.0, 1.0)
+            wv = scheme_arpm(feats_s, feats_t, cfg.train.arpm)
+        normalized = wv.values / max(wv.values.max(), 1e-300)
 
-    hist = weight_histogram(normalized)
     hist_path = out_dir / "weights_hist.csv"
-    _write_histogram(hist_path, hist)
+    _write_histogram(hist_path, weight_histogram(normalized))
     _emit({"scheme": scheme, "weights": wv.values.tolist(), "total": wv.total,
            "histogram_path": str(hist_path)})
     return 0
@@ -323,6 +340,8 @@ def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> int:
 def _cmd_bench(args, cfg: RunConfig, out_dir: Path) -> int:
     _check_count("seeds", args.seeds, 1)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if not schemes:
+        raise ConfigError(f"--schemes names no scheme: {args.schemes!r}")
     for s in schemes:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme: {s}")
@@ -337,7 +356,7 @@ def _cmd_bench(args, cfg: RunConfig, out_dir: Path) -> int:
     _write_csv(results_path, ["scheme", "acc_mean", "acc_std", "outlier_share",
                               "accuracies", "failures"], rows)
     hist_path = out_dir / "weights_hist.csv"
-    _write_histogram(hist_path, results[0].histogram if results else np.zeros(20, dtype=int))
+    _write_histogram(hist_path, results[0].histogram)
     _emit({"results_path": str(results_path), "histogram_path": str(hist_path),
            "schemes": {r.scheme: {"acc_mean": _or_null(r.acc_mean), "acc_std": _or_null(r.acc_std),
                                   "outlier_share": _or_null(r.outlier_share)}

@@ -8,8 +8,8 @@ from typing import Sequence
 import numpy as np
 
 from .measures import PdaDataset
-from .pot import entropic_partial_ot
-from .warmpot import ModelParams, TrainConfig, _forward, train
+from .pot import entropic_partial_ot  # noqa: F401 - wrapped by name in perfbench/spans.py
+from .warmpot import ModelParams, TrainConfig, _forward, _solve, train
 from .weights import WeightVector, weight_histogram
 
 __all__ = [
@@ -110,13 +110,9 @@ def target_accuracy(params: ModelParams, ds: PdaDataset) -> float:
 
 def final_source_weights(params: ModelParams, ds: PdaDataset, cfg: TrainConfig):
     """End-of-training full-dataset plan weights, raw and cap-normalized."""
-    a = np.full(ds.n_s, 1.0 / (cfg.beta * ds.n_s))
-    b = np.full(ds.n_t, 1.0 / ds.n_t)
-    cost = _forward(params, ds.source_x, ds.source_y, ds.target_x, cfg).cost
-    plan = entropic_partial_ot(a, b, cost, min(cfg.alpha_max, 1.0), cfg.solver())
-    p_hat = plan.matrix.sum(axis=1)
-    normalized = np.clip(p_hat * cfg.beta * ds.n_s, 0.0, 1.0)
-    return WeightVector(p_hat), normalized
+    fwd = _forward(params, ds.source_x, ds.source_y, ds.target_x, cfg)
+    _, p_hat = _solve(fwd, cfg.alpha_max, cfg)
+    return p_hat, np.clip(p_hat.values * cfg.beta * ds.n_s, 0.0, 1.0)
 
 
 def _seed_list(seeds) -> list[int]:
@@ -155,7 +151,7 @@ def compare_schemes(spec: TaskSpec, cfg: TrainConfig, schemes: Sequence[str],
             acc_std=float(acc_arr.std()) if accs else float("nan"),
             outlier_share=float(np.mean(shares)) if shares else float("nan"),
             outlier_shares=tuple(shares),
-            histogram=histogram if histogram is not None else np.zeros(20, dtype=int),
+            histogram=histogram if histogram is not None else weight_histogram([]),
             failures=tuple(failures),
         ))
     return results

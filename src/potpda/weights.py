@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from .measures import feature_cost_matrix
 from .pot import TransportPlan, _transport_lp, exact_partial_ot
 
 __all__ = [
@@ -20,6 +20,9 @@ __all__ = [
     "gamma_constrained_weights",
     "weight_histogram",
 ]
+
+HIST_BINS = 20  # equal-width bins of [0, 1] in every weights_hist.csv
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -168,16 +171,12 @@ def scheme_arpm(source_feats, target_feats, cfg: ArpmConfig) -> WeightVector:
     the exact minimizer.  When the ball binds the result is the best iterate
     seen, with no optimality certificate.
     """
-    fs = np.atleast_2d(np.asarray(source_feats, dtype=float))
-    ft = np.atleast_2d(np.asarray(target_feats, dtype=float))
-    if fs.shape[1] != ft.shape[1]:
-        raise ValueError("feature dimensions differ")
-    n_s = fs.shape[0]
+    dist = feature_cost_matrix(source_feats, target_feats, 1.0)
+    n_s = dist.shape[0]
     uniform = np.full(n_s, 1.0 / n_s)
     if cfg.rho == 0.0:
         return WeightVector(uniform)
 
-    dist = cdist(fs, ft)
     radius = float(np.sqrt(cfg.rho / n_s))
     best_val, duals = _w1_to_uniform_target(uniform, dist)
     best = p = uniform
@@ -194,29 +193,26 @@ def scheme_arpm(source_feats, target_feats, cfg: ArpmConfig) -> WeightVector:
     return WeightVector(best)
 
 
-def gamma_constrained_weights(source_feats, target_feats, beta: float) -> WeightVector:
-    """Minimize W1 to the uniform target over the capped simplex p_i <= 1/(beta*n_s).
+def gamma_constrained_weights(source_feats, target_feats, beta: float,
+                              alpha: float = 1.0) -> WeightVector:
+    """Row sums of the optimal mass-alpha partial plan from the 1/beta-inflated
+    uniform source onto the uniform target, under the feature distance.
 
-    Equivalent to the mass-1 partial transport of the 1/beta-inflated uniform
-    source onto the uniform target; the optimal row sums are the weights.
+    At alpha = 1 these weights minimize W1 to the uniform target over the
+    capped simplex p_i <= 1/(beta*n_s).
     """
     if not 0 < beta <= 1:
         raise ValueError("beta must lie in (0, 1]")
-    fs = np.atleast_2d(np.asarray(source_feats, dtype=float))
-    ft = np.atleast_2d(np.asarray(target_feats, dtype=float))
-    if fs.shape[1] != ft.shape[1]:
-        raise ValueError("feature dimensions differ")
-    n_s, n_t = fs.shape[0], ft.shape[0]
-    if beta * n_s < 1:
-        raise ValueError("beta * n_s < 1 makes the capped simplex infeasible")
+    dist = feature_cost_matrix(source_feats, target_feats, 1.0)
+    n_s, n_t = dist.shape
     a = np.full(n_s, 1.0 / (beta * n_s))
     b = np.full(n_t, 1.0 / n_t)
-    plan, _ = exact_partial_ot(a, b, cdist(fs, ft), 1.0)
+    plan, _ = exact_partial_ot(a, b, dist, alpha)
     return WeightVector(plan.matrix.sum(axis=1))
 
 
-def weight_histogram(normalized_values, bins: int = 20) -> np.ndarray:
-    """Counts over equal-width bins of [0, 1]; values are clipped into range."""
+def weight_histogram(normalized_values) -> np.ndarray:
+    """Counts over HIST_BINS equal-width bins of [0, 1]; values are clipped into range."""
     v = np.clip(np.asarray(normalized_values, dtype=float), 0.0, 1.0)
-    counts, _ = np.histogram(v, bins=bins, range=(0.0, 1.0))
+    counts, _ = np.histogram(v, bins=HIST_BINS, range=(0.0, 1.0))
     return counts

@@ -1,14 +1,17 @@
 """Command-line surface: config merging, echo round-trip, exit codes, outputs."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from potpda.cli import CONFIG_KEYS, ConfigError, main, parse_config
-from potpda.measures import save_dataset
+from potpda.measures import PdaDataset, load_dataset, save_dataset
+from potpda.pot import exact_partial_ot
 from potpda.synthbench import TaskSpec, generate_pda_task
 from potpda.warmpot import TrainConfig
 
@@ -26,6 +29,10 @@ def tiny_task(tmp_path):
     save_dataset(ds, path)
     return path
 
+
+# parameters that fit tiny_task's 2-d inputs and 3 source classes
+TINY_PARAMS = {"W_f": [[1.0, 0.0], [0.0, 1.0]], "W_g": [[0.5, -0.5], [-0.5, 0.5], [0.0, 0.1]],
+               "bias": [0.0, 0.1, -0.1]}
 
 FAST_FLAGS = ["--total-iters", "15", "--ramp-iters", "5", "--batch-size", "8",
               "--lr", "0.03", "--eps", "2.0", "--solver-tol", "1e-6",
@@ -248,6 +255,9 @@ class TestExitCodes:
           for alpha in ("0", "-0.5", "nan", "5")),
         *(["solve", "--a", "{a}", "--b", "{b}", "--cost", "{cost}", "--alpha", alpha]
           for alpha in ("0", "nan")),
+        *(["weights", "--scheme", scheme, "--data", "{task}", "--alpha", alpha]
+          for scheme, alpha in (("uniform", "0.5"), ("arpm", "0.3"), ("ba3us", "0.5"))),
+        ["bench", "--schemes", ","],
     ], ids=" ".join)
     def test_bad_count_grid_or_cross_key_value_exits_two(self, tiny_task, tmp_path, capsys, argv):
         inputs = {"task": tiny_task}
@@ -261,6 +271,36 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         if "--alpha" in argv:
             assert "--alpha" in err
+
+    @pytest.mark.parametrize("scheme", ["warmpot", "ba3us"])
+    @pytest.mark.parametrize("text", [
+        "{", "[1, 2]", json.dumps({k: v for k, v in TINY_PARAMS.items() if k != "W_g"}),
+        json.dumps({**TINY_PARAMS, "bias": [0.0, float("nan"), 0.0]}),
+        json.dumps({**TINY_PARAMS, "W_f": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}),
+        json.dumps({**TINY_PARAMS, "W_g": [[0.5, -0.5, 0.0]] * 3}),
+        json.dumps({**TINY_PARAMS, "bias": [0.0, 0.1]}),
+    ], ids=["truncated", "not an object", "no W_g", "nan entry", "W_f columns",
+            "W_g columns", "bias length"])
+    def test_malformed_params_exits_two(self, tiny_task, tmp_path, capsys, scheme, text):
+        bad = tmp_path / "params.json"
+        bad.write_text(text)
+        code = main(["weights", "--scheme", scheme, "--data", str(tiny_task),
+                     "--params", str(bad), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_params_whose_logits_overflow_exit_two(self, tiny_task, tmp_path, capsys):
+        huge = tmp_path / "params.json"
+        huge.write_text(json.dumps({**TINY_PARAMS, "W_f": [[1e300, 0.0], [0.0, 1.0]],
+                                    "W_g": [[1e300, 0.0], [0.0, 1.0], [0.0, 0.0]]}))
+        code = main(["weights", "--scheme", "ba3us", "--data", str(tiny_task),
+                     "--params", str(huge), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(huge) in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_ramp_longer_than_schedule_exits_two(self, tiny_task, tmp_path, capsys):
         code = main(["train", "--data", str(tiny_task), "--ramp-iters", "6000",
@@ -281,6 +321,15 @@ _KEY_VALUE_LINES = st.lists(
 _CSV_EDITS = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6),
                                 st.sampled_from(["set", "drop", "add"]), _TEXT),
                       min_size=1, max_size=3)
+_JSON_VALUES = st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300, -1.0, 0.0, 0.5,
+                                "x", None, True, [], {}, [1.0, 2.0], [[0.5]]])
+# (key, row, column, edit, value): an edit acts on an entry of a block, or
+# replaces or deletes the block; the text may then be cut short
+_PARAM_EDITS = st.lists(st.tuples(st.sampled_from(["W_f", "W_g", "bias", "extra"]),
+                                  st.integers(0, 3), st.integers(0, 3),
+                                  st.sampled_from(["set", "drop", "add", "replace", "delete"]),
+                                  _JSON_VALUES),
+                        min_size=1, max_size=3)
 _FUZZ = settings(max_examples=100, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -313,6 +362,37 @@ class TestFuzz:
         bad.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
         code = main(["weights", "--scheme", "uniform", "--data", str(bad),
                      "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+
+
+    @_FUZZ
+    @given(edits=_PARAM_EDITS, cut=st.none() | st.integers(0, 150))
+    def test_mutated_params_exits_zero_or_two(self, tiny_task, tmp_path, capsys, edits, cut):
+        blob = json.loads(json.dumps(TINY_PARAMS))
+        for key, row, col, op, value in edits:
+            block = blob.get(key)
+            if op == "delete":
+                blob.pop(key, None)
+                continue
+            value = copy.deepcopy(value)
+            if op == "replace" or not (isinstance(block, list) and block):
+                blob[key] = value
+                continue
+            row %= len(block)
+            if isinstance(block[row], list) and block[row]:
+                block, row = block[row], col % len(block[row])
+            if op == "set":
+                block[row] = value
+            elif op == "drop":
+                del block[row]
+            else:
+                block.insert(row, value)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(blob)[:cut])
+        code = main(["weights", "--scheme", "ba3us", "--data", str(tiny_task),
+                     "--params", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code in (0, 2), err
         assert "Traceback" not in err
@@ -375,6 +455,29 @@ class TestWeightsCommand:
                                          "--out", str(tmp_path / "w")])
         assert code == 0
         assert payload["total"] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", ["1.0", "0.5"])
+    def test_warmpot_weights_are_the_exact_plan_row_sums(self, tiny_task, tmp_path, capsys, alpha):
+        ds = load_dataset(tiny_task)
+        beta = TrainConfig().beta
+        a = np.full(ds.n_s, 1.0 / (beta * ds.n_s))
+        b = np.full(ds.n_t, 1.0 / ds.n_t)
+        plan, _ = exact_partial_ot(a, b, cdist(ds.source_x, ds.target_x), float(alpha))
+        code, payload = run_cli(capsys, ["weights", "--scheme", "warmpot",
+                                         "--data", str(tiny_task), "--alpha", alpha,
+                                         "--out", str(tmp_path / "w")])
+        assert code == 0
+        assert payload["weights"] == plan.matrix.sum(axis=1).tolist()
+
+    def test_warmpot_full_mass_on_one_source_row(self, tiny_task, tmp_path, capsys):
+        ds = load_dataset(tiny_task)
+        one_row = tmp_path / "one_row.csv"
+        save_dataset(PdaDataset(ds.source_x[:1], ds.source_y[:1], ds.target_x), one_row)
+        code, payload = run_cli(capsys, ["weights", "--scheme", "warmpot",
+                                         "--data", str(one_row), "--alpha", "1.0",
+                                         "--out", str(tmp_path / "w")])
+        assert code == 0
+        assert payload["weights"] == pytest.approx([1.0], abs=1e-12)
 
     def test_arpm_weights(self, tiny_task, tmp_path, capsys):
         code, payload = run_cli(capsys, ["weights", "--scheme", "arpm",

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from potpda.pot import ENTROPIC_FEAS_TOL
 from potpda.synthbench import (
     TaskSpec,
     compare_schemes,
+    final_source_weights,
     generate_pda_task,
     outlier_weight_share,
     sensitivity_sweep,
 )
-from potpda.warmpot import TrainConfig
+from potpda.warmpot import TrainConfig, train
 from potpda.weights import WeightVector
 
 SMALL_SPEC = TaskSpec(K=4, shared=2, d=2, n_s=40, n_t=24, separation=4.0, noise=1.0)
@@ -74,6 +76,34 @@ class TestOutlierWeightShare:
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
             outlier_weight_share(np.zeros(3), np.array([0, 1, 2]), 2)
+
+
+class TestFinalSourceWeights:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        ds = generate_pda_task(SMALL_SPEC)
+        params, _ = train(ds, SMALL_CFG)
+        return params, ds
+
+    def test_raw_weights_carry_alpha_max_under_the_cap(self, trained):
+        params, ds = trained
+        raw, _ = final_source_weights(params, ds, SMALL_CFG)
+        assert raw.total == pytest.approx(SMALL_CFG.alpha_max, abs=ENTROPIC_FEAS_TOL)
+        assert raw.values.max() <= 1.0 / (SMALL_CFG.beta * ds.n_s) + ENTROPIC_FEAS_TOL
+
+    def test_normalized_is_raw_times_beta_n_s(self, trained):
+        params, ds = trained
+        raw, normalized = final_source_weights(params, ds, SMALL_CFG)
+        scale = SMALL_CFG.beta * ds.n_s
+        np.testing.assert_allclose(normalized, raw.values * scale, rtol=0,
+                                   atol=ENTROPIC_FEAS_TOL * scale)
+
+    def test_repeat_call_is_bit_identical(self, trained):
+        params, ds = trained
+        first = final_source_weights(params, ds, SMALL_CFG)
+        second = final_source_weights(params, ds, SMALL_CFG)
+        assert first[0].values.tobytes() == second[0].values.tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
 
 
 class TestCompareSchemes:

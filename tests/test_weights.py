@@ -310,9 +310,12 @@ class TestGammaConstrainedWeights:
         assert val <= best + 1e-9
         assert best - val <= 0.01 * max(val, 1e-9) + 0.05
 
-    def test_infeasible_cap_rejected(self):
-        with pytest.raises(ValueError, match="capped simplex"):
-            gamma_constrained_weights(np.zeros((1, 2)), np.zeros((2, 2)), 0.5)
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_single_source_row_carries_the_whole_mass(self, alpha):
+        # beta <= 1 puts the cap 1/(beta*n_s) at or above 1/n_s, so the
+        # capped simplex is never empty; with one row the cap is above 1
+        wv = gamma_constrained_weights([[0.0, 0.0]], [[1.0, 0.0], [0.0, 2.0]], 0.35, alpha)
+        np.testing.assert_allclose(wv.values, [alpha], rtol=0, atol=1e-12)
 
 
 class TestWeightHistogram:
