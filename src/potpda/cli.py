@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import bound_check
-from .measures import load_dataset, save_dataset
+from .measures import feature_cost_matrix, load_dataset, save_dataset
 from .pot import entropic_partial_ot, exact_partial_ot
 from .synthbench import (
     TaskSpec,
@@ -209,6 +209,20 @@ def _predictions(params: ModelParams, x: np.ndarray, path) -> np.ndarray:
     return params.predict(x)
 
 
+def _features(params: ModelParams | None, ds, path) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target features, the raw inputs without params; features or
+    feature distances that overflow are an input error naming the file."""
+    if params is None:
+        feats_s, feats_t = ds.source_x, ds.target_x
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            feats_s, feats_t = params.features(ds.source_x), params.features(ds.target_x)
+    if not (np.all(np.isfinite(feats_s)) and np.all(np.isfinite(feats_t))
+            and np.all(np.isfinite(feature_cost_matrix(feats_s, feats_t, 1.0)))):
+        raise ConfigError(f"{path}: the features or their distances overflow on the task's inputs")
+    return feats_s, feats_t
+
+
 def _write_csv(path: Path, header: list, rows: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -270,11 +284,12 @@ def _cmd_weights(args, cfg: RunConfig, out_dir: Path) -> int:
         if scheme != "warmpot":
             raise ConfigError(f"--alpha applies only to --scheme warmpot, not {scheme}")
         _check_alpha(args.alpha, 1.0)  # the target mass is 1
+    if args.params and scheme == "uniform":
+        raise ConfigError("--params applies only to --scheme warmpot, ba3us or arpm, not uniform")
     ds = _load_task(args.data)
     params = _params_from_file(args.params, ds.dim) if args.params else None
     if scheme in ("warmpot", "arpm"):
-        feats_s = params.features(ds.source_x) if params else ds.source_x
-        feats_t = params.features(ds.target_x) if params else ds.target_x
+        feats_s, feats_t = _features(params, ds, args.params or args.data)
 
     if scheme == "warmpot":
         alpha = args.alpha if args.alpha is not None else cfg.train.alpha_max

@@ -3,7 +3,9 @@
 The problem: minimize sum(C * P) over nonnegative plans P with row sums
 dominated by ``a``, column sums dominated by ``b``, and total mass exactly
 ``alpha``.  The exact path reduces to a balanced transportation problem by
-appending one dummy row and column.
+appending one dummy row and column, and solves it with HiGHS through
+scipy's own HiGHS binding, without the per-call input and option handling of
+scipy's public LP interface.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_array
+import scipy.optimize._highspy._core as _highs  # private scipy module: pinned to scipy 1.17
 
 __all__ = [
     "TransportPlan",
@@ -24,14 +25,6 @@ __all__ = [
 EXACT_FEAS_TOL = 1e-9
 ENTROPIC_FEAS_TOL = 1e-6
 
-# linprog stacks a sparse constraint matrix with scipy.sparse, about 0.5-1 ms
-# per call, which pays for itself only on larger LPs.  Per call on a 2-core
-# x86 VM (scipy 1.17), dense vs sparse: 4 variables 3.2 vs 3.9 ms, 480
-# variables 5.3 vs 6.0 ms, 600 variables 6.8 vs 6.3 ms, 961 variables 8.6 vs
-# 7.6 ms.  Smaller LPs get the dense matrix; HiGHS receives the same CSC
-# matrix either way.
-_SPARSE_LP_MIN_VARS = 600
-
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -42,8 +35,9 @@ _LP_OPTIONS = {
 class TransportPlan:
     """A coupling matrix together with the caps and mass it must respect.
 
-    ``n_iter`` is the solver's iteration count: entropic sweeps, or HiGHS
-    simplex iterations for exact plans.
+    ``n_iter`` is the solver's iteration count: entropic sweeps, or HiGHS's
+    ``simplex_iteration_count`` for exact plans (the ``nit`` that scipy's
+    ``method="highs"`` LP interface reports on the same LP).
     """
 
     matrix: np.ndarray
@@ -119,27 +113,53 @@ def _check_masses(a, b, alpha: float):
 
 def _transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     """Balanced transportation LP with equality marginals; returns the plan,
-    carrying HiGHS's iteration count, and the row and column duals."""
+    carrying HiGHS's iteration count, and the row and column duals.
+
+    HiGHS gets the model, options and column order that scipy's
+    ``method="highs"`` LP interface would give it, so it returns the same
+    optimal vertex and duals.
+    """
+    if not (np.all(np.isfinite(C)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("transportation LP costs and masses must be finite")
     m, n = C.shape
     n_var = m * n
-    # column k = i*n + j of the (m+n) x mn constraint matrix has ones in rows
-    # i and m+j, which is the CSC form linprog would build from the dense matrix
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_var
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + n
+    lp.col_cost_ = C.ravel()
+    lp.col_lower_ = np.zeros(n_var)
+    lp.col_upper_ = np.full(n_var, _highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = np.concatenate([a, b])
+    # column k = i*n + j of the CSC (m+n) x mn constraint matrix has ones in
+    # rows i and m+j
     rows = np.empty(2 * n_var, dtype=int)
     rows[0::2] = np.repeat(np.arange(m), n)
     rows[1::2] = np.tile(np.arange(m, m + n), m)
-    if n_var < _SPARSE_LP_MIN_VARS:
-        A_eq = np.zeros((m + n, n_var))
-        A_eq[rows, np.repeat(np.arange(n_var), 2)] = 1.0
-    else:
-        A_eq = csc_array((np.ones(2 * n_var), rows, np.arange(0, 2 * n_var + 1, 2)),
-                         shape=(m + n, n_var))
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
-                  bounds=(0, None), method="highs", options=_LP_OPTIONS)
-    if res.status != 0:
-        raise RuntimeError(f"transportation LP failed: {res.message}")
-    plan = TransportPlan(np.clip(res.x, 0.0, None).reshape(m, n), a, b, float(a.sum()),
-                         n_iter=int(res.nit))
-    duals = res.eqlin.marginals
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.arange(0, 2 * n_var + 1, 2)
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = np.ones(2 * n_var)
+
+    # the options scipy's LP interface sets; HiGHS's own presolve default is "choose"
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = options.log_to_console = False
+    for key, value in _LP_OPTIONS.items():
+        setattr(options, key, value)
+    solver = _highs._Highs()
+    solver.passOptions(options)
+    if solver.passModel(lp) == _highs.HighsStatus.kError:
+        raise RuntimeError("transportation LP failed: HiGHS rejected the model")
+    solver.run()
+    status = solver.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"transportation LP failed: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    x = np.clip(np.array(solution.col_value), 0.0, None)
+    plan = TransportPlan(x.reshape(m, n), a, b, float(a.sum()),
+                         n_iter=int(solver.getInfo().simplex_iteration_count))
+    duals = np.array(solution.row_dual)
     return plan, duals[:m], duals[m:]
 
 

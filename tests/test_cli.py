@@ -302,6 +302,45 @@ class TestExitCodes:
         assert str(huge) in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("scheme", ["warmpot", "arpm"])
+    def test_params_whose_features_overflow_exit_two(self, tiny_task, tmp_path, capsys, scheme):
+        huge = tmp_path / "params.json"
+        huge.write_text(json.dumps({**TINY_PARAMS, "W_f": [[1e300, 0.0], [0.0, 1.0]],
+                                    "W_g": [[1e300, 0.0], [0.0, 1.0], [0.0, 0.0]]}))
+        code = main(["weights", "--scheme", scheme, "--data", str(tiny_task),
+                     "--params", str(huge), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(huge) in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("scheme", ["warmpot", "arpm"])
+    def test_task_whose_distances_overflow_exits_two(self, tiny_task, tmp_path, capsys, scheme):
+        lines = tiny_task.read_text().splitlines()
+        for split, value in (("source", "1e300"), ("target", "-1e300")):
+            row = next(i for i, line in enumerate(lines) if line.startswith(split))
+            cells = lines[row].split(",")
+            cells[1] = value
+            lines[row] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["weights", "--scheme", scheme, "--data", str(bad),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_params_with_the_uniform_scheme_exits_two(self, tiny_task, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(TINY_PARAMS))
+        code = main(["weights", "--scheme", "uniform", "--data", str(tiny_task),
+                     "--params", str(params), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--params" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_ramp_longer_than_schedule_exits_two(self, tiny_task, tmp_path, capsys):
         code = main(["train", "--data", str(tiny_task), "--ramp-iters", "6000",
                      "--out", str(tmp_path / "out")])

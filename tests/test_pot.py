@@ -143,36 +143,61 @@ class TestExactPartialOt:
             plan, _ = exact_partial_ot(a, b, C, alpha)
             assert plan.max_violation() <= 1e-9
 
-    def test_n_iter_is_the_simplex_iteration_count(self, monkeypatch):
-        results = []
-
-        def recording_linprog(*args, **kwargs):
-            results.append(linprog(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(pot, "linprog", recording_linprog)
+    def test_n_iter_is_the_simplex_iteration_count(self):
         a, b, C, alpha = random_geometry_instance(np.random.default_rng(12))
         plan, _ = exact_partial_ot(a, b, C, alpha)
-        assert len(results) == 1
-        assert plan.n_iter == results[0].nit > 0
+        m, n = C.shape
+        C_ext = np.zeros((m + 1, n + 1))
+        C_ext[:m, :n] = C
+        C_ext[m, n] = 2.0 * (m + n) * C.max() + 1.0
+        *_, nit = reference_transport_lp(np.append(a, b.sum() - alpha),
+                                         np.append(b, a.sum() - alpha), C_ext)
+        assert plan.n_iter == nit > 0
+
+
+def uniform_line_instance(rng, m, n):
+    """Uniform masses on 1-D points under |x - y|, as random_bound_instance
+    builds with one feature: many optimal plans, so a different vertex
+    choice shows."""
+    x, y = rng.normal(size=m), rng.normal(size=n) + rng.normal(scale=0.5)
+    return np.full(m, 1.0 / m), np.full(n, 1.0 / n), np.abs(x[:, None] - y[None])
 
 
 class TestTransportLp:
-    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (24, 24), (25, 24), (30, 31), (40, 45)])
-    def test_bit_identical_to_the_dense_matrix(self, m, n):
-        # sizes on both sides of the dense/sparse threshold
-        assert (m * n < pot._SPARSE_LP_MIN_VARS) == ((m, n) in [(1, 1), (2, 3), (24, 24)])
+    @pytest.mark.parametrize("m, n, uniform_line", [
+        *(pytest.param(m, n, False, id=f"{m}-{n}")
+          for m, n in [(1, 1), (2, 3), (24, 24), (25, 24), (30, 31), (40, 45)]),
+        *(pytest.param(m, n, True, id=f"{m}-{n}-uniform-line")
+          for m, n in [(2, 3), (7, 5), (24, 24), (30, 17), (31, 31)])])
+    def test_bit_identical_to_the_dense_matrix(self, m, n, uniform_line):
         rng = np.random.default_rng(m * 100 + n)
-        C = rng.random((m, n))
-        a = rng.random(m) + 0.1
-        b = rng.random(n) + 0.1
-        b *= a.sum() / b.sum()
+        if uniform_line:
+            a, b, C = uniform_line_instance(rng, m, n)
+        else:
+            C = rng.random((m, n))
+            a = rng.random(m) + 0.1
+            b = rng.random(n) + 0.1
+            b *= a.sum() / b.sum()
         plan, row_duals, col_duals = _transport_lp(a, b, C)
         ref_plan, ref_rows, ref_cols, ref_nit = reference_transport_lp(a, b, C)
         np.testing.assert_array_equal(plan.matrix, ref_plan)
         np.testing.assert_array_equal(row_duals, ref_rows)
         np.testing.assert_array_equal(col_duals, ref_cols)
         assert plan.n_iter == ref_nit
+
+    def test_infeasible_marginals_raise_with_the_highs_status(self):
+        with pytest.raises(RuntimeError, match="transportation LP failed: Infeasible"):
+            _transport_lp(np.array([0.5, 0.5]), np.array([0.2, 0.2]), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("a, C", [([0.5, 0.5], [[np.nan, 1.0], [1.0, 0.0]]),
+                                      ([0.5, 0.5], [[np.inf, 1.0], [1.0, 0.0]]),
+                                      ([np.nan, 0.5], [[1.0, 1.0], [1.0, 0.0]]),
+                                      ([np.inf, 0.5], [[1.0, 1.0], [1.0, 0.0]])],
+                             ids=["nan cost", "inf cost", "nan mass", "inf mass"])
+    def test_non_finite_inputs_raise_value_error(self, a, C):
+        # HiGHS itself returns a plan for some of these
+        with pytest.raises(ValueError, match="must be finite"):
+            _transport_lp(np.array(a), np.array([0.5, 0.5]), np.array(C))
 
 
 class TestBruteForceOracle:
