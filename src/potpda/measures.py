@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from ._scipy_ext import cdist_euclidean
 
 __all__ = [
     "PdaDataset",
@@ -176,7 +177,7 @@ def feature_cost_matrix(source_feats, target_feats, gamma: float) -> np.ndarray:
     ft = np.atleast_2d(np.asarray(target_feats, dtype=float))
     if fs.shape[1] != ft.shape[1]:
         raise ValueError("feature dimensions differ")
-    return gamma * cdist(fs, ft)
+    return gamma * cdist_euclidean(fs, ft)
 
 
 def joint_cost_matrix(source_feats, source_labels, target_feats, predicted_labels,
@@ -195,7 +196,7 @@ def joint_cost_matrix(source_feats, source_labels, target_feats, predicted_label
     y_pred = np.asarray(predicted_labels, dtype=float)
     if y_pred.shape[0] != ft.shape[0]:
         raise ValueError("predicted labels misaligned with target features")
-    return zeta_gamma * cdist(fs, ft) + loss.pairwise(y, y_pred)
+    return zeta_gamma * cdist_euclidean(fs, ft) + loss.pairwise(y, y_pred)
 
 
 def load_dataset(path) -> PdaDataset:

@@ -3,9 +3,11 @@
 The problem: minimize sum(C * P) over nonnegative plans P with row sums
 dominated by ``a``, column sums dominated by ``b``, and total mass exactly
 ``alpha``.  The exact path reduces to a balanced transportation problem by
-appending one dummy row and column, and solves it with HiGHS through
-scipy's own HiGHS binding, without the per-call input and option handling of
-scipy's public LP interface.
+appending one dummy row and column, and solves it with HiGHS through the
+binding scipy's own LP interface calls, without that interface's per-call
+input and option handling.  ``_scipy_ext`` loads the binding from its
+extension file alone, so importing this module skips the start-up cost of
+scipy's optimize package.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize._highspy._core as _highs  # private scipy module: pinned to scipy 1.17
+
+from ._scipy_ext import highs as _highs
 
 __all__ = [
     "TransportPlan",
@@ -101,6 +104,8 @@ def _cost_entries(C) -> np.ndarray:
 def _check_masses(a, b, alpha: float):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("marginal masses must be finite")
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("marginal masses must be nonnegative")
     if not alpha > 0:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from ._scipy_ext import cdist_euclidean
 from .measures import PdaDataset
 from .pot import SolverConfig, entropic_partial_ot
 from .weights import WeightVector, ArpmConfig, scheme_arpm, scheme_ba3us
@@ -169,7 +169,7 @@ def _forward(params: ModelParams, bs_x, bs_y, bt_x, cfg: TrainConfig) -> _Forwar
     probs_s = _softmax(feats_s @ params.W_g.T + params.bias)
     probs_t = _softmax(feats_t @ params.W_g.T + params.bias)
     src_losses = -np.log(np.maximum(probs_s[np.arange(len(bs_y)), bs_y], 1e-300))
-    dist = cdist(feats_s, feats_t)
+    dist = cdist_euclidean(feats_s, feats_t)
     # cross-entropy of each source one-hot label against each target prediction
     ce = -np.log(np.maximum(probs_t[:, bs_y], 1e-300)).T
     cost = cfg.eta1 * dist + cfg.eta2 * ce

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from potpda.measures import (
     LinearFeatureMap,
@@ -82,6 +83,24 @@ class TestFeatureCostMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             feature_cost_matrix(np.zeros((2, 2)), np.zeros((2, 3)), 1.0)
+
+    @pytest.mark.parametrize("layout", ["empty source", "zero rows", "fortran", "strided",
+                                        "integer"])
+    def test_bit_identical_to_scipy_cdist(self, layout):
+        rng = np.random.default_rng(3)
+        fs, ft = rng.normal(size=(9, 4)), rng.normal(size=(7, 4))
+        if layout == "empty source":
+            fs = fs[:0]
+        elif layout == "zero rows":
+            fs[[0, 4]] = 0.0
+        elif layout == "fortran":
+            fs, ft = np.asfortranarray(fs), np.asfortranarray(ft)
+        elif layout == "strided":
+            fs, ft = rng.normal(size=(18, 8))[::2, ::2], rng.normal(size=(7, 12))[:, 1::3]
+        else:
+            fs, ft = rng.integers(-5, 6, size=(9, 4)), rng.integers(-5, 6, size=(7, 4))
+        expected = 1.3 * cdist(fs, ft)
+        np.testing.assert_array_equal(feature_cost_matrix(fs, ft, 1.3), expected)
 
 
 class TestJointCostMatrix:

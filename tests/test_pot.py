@@ -23,6 +23,15 @@ C2 = np.array([[1.0, 2.0], [3.0, 0.0]])
 ALPHA2 = 0.5
 COST2 = 0.1
 
+# a NaN or infinite entry in either marginal, which neither solver may read
+# as a cap
+NON_FINITE_MASSES = [
+    pytest.param([np.nan, 0.5], [0.5, 0.5], id="nan in a"),
+    pytest.param([np.inf, 0.5], [0.5, 0.5], id="inf in a"),
+    pytest.param([0.5, 0.5], [0.5, np.nan], id="nan in b"),
+    pytest.param([0.5, 0.5], [np.inf, 0.5], id="inf in b"),
+]
+
 
 def random_tiny_instance(rng):
     shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (1, 6), (6, 1)]
@@ -135,6 +144,11 @@ class TestExactPartialOt:
     def test_negative_masses(self):
         with pytest.raises(ValueError):
             exact_partial_ot([-0.1, 0.5], [0.4], [[1.0], [1.0]], 0.2)
+
+    @pytest.mark.parametrize("a, b", NON_FINITE_MASSES)
+    def test_non_finite_masses_rejected(self, a, b):
+        with pytest.raises(ValueError, match="marginal masses must be finite"):
+            exact_partial_ot(a, b, np.ones((2, 2)), 0.5)
 
     def test_feasibility_invariants(self):
         rng = np.random.default_rng(11)
@@ -272,6 +286,11 @@ class TestEntropicPartialOt:
         C = np.array([[np.inf, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             entropic_partial_ot(A2, B2, C, 0.5)
+
+    @pytest.mark.parametrize("a, b", NON_FINITE_MASSES)
+    def test_non_finite_masses_rejected(self, a, b):
+        with pytest.raises(ValueError, match="marginal masses must be finite"):
+            entropic_partial_ot(a, b, np.ones((2, 2)), 0.5)
 
     def test_n_iter_counts_sweeps(self):
         cfg = SolverConfig(eps=0.05)
