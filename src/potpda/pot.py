@@ -48,7 +48,6 @@ class TransportPlan:
     col_caps: np.ndarray
     mass: float
     converged: bool = True
-    epsilon: float | None = None
     n_iter: int = 0
 
     def __post_init__(self):
@@ -101,7 +100,11 @@ def _cost_entries(C) -> np.ndarray:
     return C
 
 
-def _check_masses(a, b, alpha: float):
+def _check_inputs(a, b, C, alpha: float):
+    """Finite costs, finite nonnegative marginals of matching lengths and a
+    positive alpha within the smaller marginal mass; alpha is clipped to
+    that mass."""
+    C = _cost_entries(C)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -113,7 +116,9 @@ def _check_masses(a, b, alpha: float):
     limit = min(a.sum(), b.sum())
     if alpha > limit + 1e-12:
         raise ValueError(f"infeasible: alpha={alpha} exceeds min marginal mass {limit}")
-    return a, b, min(alpha, limit)
+    if a.shape[0] != C.shape[0] or b.shape[0] != C.shape[1]:
+        raise ValueError("marginal lengths do not match the cost matrix")
+    return a, b, C, min(alpha, limit)
 
 
 def _transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
@@ -175,12 +180,8 @@ def exact_partial_ot(a, b, C, alpha: float):
     total(a) - alpha, with zero cost to the dummies and a prohibitive cost at
     the dummy-dummy cell, then solves the balanced problem exactly.
     """
-    C = _cost_entries(C)
-    a, b, alpha = _check_masses(a, b, alpha)
+    a, b, C, alpha = _check_inputs(a, b, C, alpha)
     m, n = C.shape
-    if a.shape[0] != m or b.shape[0] != n:
-        raise ValueError("marginal lengths do not match the cost matrix")
-
     big = 2.0 * (m + n) * float(C.max()) + 1.0
     a_ext = np.append(a, b.sum() - alpha)
     b_ext = np.append(b, a.sum() - alpha)
@@ -219,105 +220,95 @@ def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) 
     L0 = -C/eps - logsumexp(-C/eps) + log(alpha).  Each sweep undoes the
     previous cycle's scaling for a constraint block, then re-projects: rows
     are damped onto their caps, then columns, then the total mass is rescaled
-    to alpha.  A sweep costs two matrix-vector products with the kernel
-    K = exp(L0) and one dot product; the scalings themselves stay in logs.
-    When the kernel sums a positive-cap row, a positive-cap column or the
-    total reads below float range (tiny/eps), the solve continues with the
-    same updates as log-sum-exps over L0 for the rest of the sweep budget.
+    to alpha.  One loop runs the sweeps and picks each sweep's form: two
+    matrix-vector products with the kernel K = exp(L0) and one dot product,
+    with the scalings kept in logs, until the kernel sums of a positive-cap
+    row, a positive-cap column or the total read below float range
+    (tiny/eps); from that sweep on, the same updates as log-sum-exps over L0.
     Stops when successive scalings are stationary; non-convergence within
     max_iter is flagged on the plan, not raised.  ``n_iter`` counts sweeps.
+    Raises ValueError when eps is so small that -C/eps overflows in every
+    cell that can carry mass.
     """
     cfg = cfg or SolverConfig()
-    C = _cost_entries(C)
-    a, b, alpha = _check_masses(a, b, alpha)
-    m, n = C.shape
-    if a.shape[0] != m or b.shape[0] != n:
-        raise ValueError("marginal lengths do not match the cost matrix")
-
+    a, b, C, alpha = _check_inputs(a, b, C, alpha)
     with np.errstate(divide="ignore"):
         log_a = np.log(a)
         log_b = np.log(b)
     log_alpha = np.log(alpha)
-    L0 = -C / cfg.eps
+    with np.errstate(over="ignore"):  # overflowed cells carry no mass
+        L0 = -C / cfg.eps
+    if not np.any(np.isfinite(L0[np.ix_(a > 0, b > 0)])):
+        raise ValueError(f"eps={cfg.eps} is too small for these costs: -C/eps "
+                         "overflows in every cell with a positive row and column cap")
     L0 = L0 + (log_alpha - _logsumexp(L0))
 
-    state = _kernel_sweeps(L0, log_a, log_b, log_alpha, cfg)
-    if state.n_iter < cfg.max_iter and not state.converged:
-        state = _log_sweeps(L0, log_a, log_b, log_alpha, cfg, state)
-
-    log_plan = L0 + state.log_u[:, None] + state.log_v[None, :] + state.log_s
-    plan = TransportPlan(np.exp(log_plan), a, b, alpha, converged=state.converged,
-                         epsilon=cfg.eps, n_iter=state.n_iter)
-    if state.converged:
+    log_u, log_v, log_s, n_iter, converged = _sweeps(L0, log_a, log_b, log_alpha, cfg)
+    log_plan = L0 + log_u[:, None] + log_v[None, :] + log_s
+    plan = TransportPlan(np.exp(log_plan), a, b, alpha, converged=converged, n_iter=n_iter)
+    if converged:
         plan.validate(ENTROPIC_FEAS_TOL)
     return plan
-
-
-@dataclass(frozen=True)
-class _Scalings:
-    """Log scalings of the rows, columns and total after ``n_iter`` sweeps."""
-
-    log_u: np.ndarray
-    log_v: np.ndarray
-    log_s: float
-    n_iter: int
-    converged: bool
 
 
 # kernel sums below this have lost the precision of a double
 _KERNEL_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
-def _kernel_sweeps(L0, log_a, log_b, log_alpha, cfg: SolverConfig) -> _Scalings:
-    """Sweeps as matrix-vector products with exp(L0).
+def _sweeps(L0, log_a, log_b, log_alpha, cfg: SolverConfig):
+    """Log scalings of the rows, columns and total, the sweep count and
+    whether successive scalings became stationary within max_iter.
 
-    Returns before the first sweep whose kernel sums leave float range, with
-    the scalings that sweep started from.  Zero-cap rows and columns keep a
-    log scaling of -inf.
+    Sweeps run in kernel form until the first one whose kernel sums leave
+    float range; that sweep is redone, and every later one run, in log form.
+    Zero-cap rows and columns keep a log scaling of -inf.
     """
     K = np.exp(L0)
     rows, cols = log_a > -np.inf, log_b > -np.inf
     log_u = np.where(rows, 0.0, -np.inf)
     log_v = np.where(cols, 0.0, -np.inf)
     log_s = 0.0
+    in_kernel = True
     for it in range(cfg.max_iter):
-        row_sums = K @ np.exp(log_v)
-        if np.min(row_sums[rows], initial=np.inf) < _KERNEL_FLOOR:
-            return _Scalings(log_u, log_v, log_s, it, False)
-        new_u = log_u.copy()
-        new_u[rows] = np.minimum(log_a[rows] - log_s - np.log(row_sums[rows]), 0.0)
-        col_sums = np.exp(new_u) @ K
-        if np.min(col_sums[cols], initial=np.inf) < _KERNEL_FLOOR:
-            return _Scalings(log_u, log_v, log_s, it, False)
-        new_v = log_v.copy()
-        new_v[cols] = np.minimum(log_b[cols] - log_s - np.log(col_sums[cols]), 0.0)
-        total = float(col_sums @ np.exp(new_v))
-        if total < _KERNEL_FLOOR:
-            return _Scalings(log_u, log_v, log_s, it, False)
-        new_s = log_alpha - np.log(total)
+        new = (_kernel_sweep(K, rows, cols, log_a, log_b, log_alpha, log_u, log_v, log_s)
+               if in_kernel else None)
+        if new is None:
+            in_kernel = False
+            new = _log_sweep(L0, log_a, log_b, log_alpha, log_u, log_v, log_s)
+        new_u, new_v, new_s = new
         change = max(_log_scaling_change(new_u, log_u),
                      _log_scaling_change(new_v, log_v),
                      abs(new_s - log_s))
-        log_u, log_v, log_s = new_u, new_v, new_s
+        log_u, log_v, log_s = new
         if change < cfg.tol:
-            return _Scalings(log_u, log_v, log_s, it + 1, True)
-    return _Scalings(log_u, log_v, log_s, cfg.max_iter, False)
+            return log_u, log_v, log_s, it + 1, True
+    return log_u, log_v, log_s, cfg.max_iter, False
 
 
-def _log_sweeps(L0, log_a, log_b, log_alpha, cfg: SolverConfig, start: _Scalings) -> _Scalings:
-    """The same sweeps as log-sum-exps over L0, from ``start`` to the end of
-    the max_iter budget; for inputs whose kernel sums underflow."""
-    log_u, log_v, log_s = start.log_u, start.log_v, start.log_s
-    for it in range(start.n_iter, cfg.max_iter):
-        u_prev, v_prev, s_prev = log_u, log_v, log_s
-        log_u = np.minimum(log_a - log_s - _logsumexp(L0 + log_v[None, :], axis=1), 0.0)
-        log_u = np.where(np.isnan(log_u), 0.0, log_u)
-        log_v = np.minimum(log_b - log_s - _logsumexp(L0 + log_u[:, None], axis=0), 0.0)
-        log_v = np.where(np.isnan(log_v), 0.0, log_v)
-        log_s = log_alpha - _logsumexp(L0 + log_u[:, None] + log_v[None, :])
-        change = max(_log_scaling_change(log_u, u_prev),
-                     _log_scaling_change(log_v, v_prev),
-                     abs(log_s - s_prev))
-        if change < cfg.tol:
-            return _Scalings(log_u, log_v, log_s, it + 1, True)
-    return _Scalings(log_u, log_v, log_s, cfg.max_iter, False)
+def _kernel_sweep(K, rows, cols, log_a, log_b, log_alpha, log_u, log_v, log_s):
+    """One sweep as two matrix-vector products with K and one dot product;
+    None when a positive-cap row or column sum, or the total, falls below
+    _KERNEL_FLOOR."""
+    row_sums = K @ np.exp(log_v)
+    if np.min(row_sums[rows], initial=np.inf) < _KERNEL_FLOOR:
+        return None
+    new_u = log_u.copy()
+    new_u[rows] = np.minimum(log_a[rows] - log_s - np.log(row_sums[rows]), 0.0)
+    col_sums = np.exp(new_u) @ K
+    if np.min(col_sums[cols], initial=np.inf) < _KERNEL_FLOOR:
+        return None
+    new_v = log_v.copy()
+    new_v[cols] = np.minimum(log_b[cols] - log_s - np.log(col_sums[cols]), 0.0)
+    total = float(col_sums @ np.exp(new_v))
+    if total < _KERNEL_FLOOR:
+        return None
+    return new_u, new_v, log_alpha - np.log(total)
+
+
+def _log_sweep(L0, log_a, log_b, log_alpha, log_u, log_v, log_s):
+    """The same sweep as log-sum-exps over L0, for kernel sums that underflow."""
+    log_u = np.minimum(log_a - log_s - _logsumexp(L0 + log_v[None, :], axis=1), 0.0)
+    log_u = np.where(np.isnan(log_u), 0.0, log_u)
+    log_v = np.minimum(log_b - log_s - _logsumexp(L0 + log_u[:, None], axis=0), 0.0)
+    log_v = np.where(np.isnan(log_v), 0.0, log_v)
+    return log_u, log_v, log_alpha - _logsumexp(L0 + log_u[:, None] + log_v[None, :])

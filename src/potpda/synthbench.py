@@ -48,6 +48,8 @@ class TaskSpec:
             raise ValueError("separation must be positive")
         if not self.noise > 0:
             raise ValueError("noise must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

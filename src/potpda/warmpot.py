@@ -71,6 +71,8 @@ class TrainConfig:
             raise ValueError("lr must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.feat_dim < 0:
             raise ValueError("feat_dim must be nonnegative")
         if self.weight_scheme not in SCHEMES:

@@ -12,8 +12,7 @@ import numpy as np
 from potpda.pot import (
     SolverConfig,
     TransportPlan,
-    _check_masses,
-    _cost_entries,
+    _check_inputs,
     entropic_partial_ot,
     exact_partial_ot,
 )
@@ -28,8 +27,7 @@ def brute_force_partial_ot(a, b, C, alpha: float):
     constraints among nonnegativity and the marginal caps; the cheapest
     feasible vertex is optimal for this linear objective.
     """
-    C = _cost_entries(C)
-    a, b, alpha = _check_masses(a, b, alpha)
+    a, b, C, alpha = _check_inputs(a, b, C, alpha)
     m, n = C.shape
     n_var = m * n
     if n_var > BRUTE_FORCE_MAX_VARS:

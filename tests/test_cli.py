@@ -131,6 +131,18 @@ class TestSolveCommand:
         capsys.readouterr()
         assert code == 1
 
+    def test_eps_overflowing_every_cost_is_computation_failure(self, tmp_path, capsys):
+        np.savetxt(tmp_path / "a.csv", [0.6, 0.4], delimiter=",")
+        np.savetxt(tmp_path / "b.csv", [0.5, 0.5], delimiter=",")
+        np.savetxt(tmp_path / "C.csv", [[1.0, 2.0], [3.0, 1.0]], delimiter=",")
+        code = main(["solve", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                     "--cost", str(tmp_path / "C.csv"), "--alpha", "0.5",
+                     "--method", "entropic", "--eps", "1e-310", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1 and "eps=1e-310" in captured.err
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -153,11 +165,25 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
-    def test_missing_input_exits_two(self, tmp_path, capsys):
-        code = main(["train", "--data", str(tmp_path / "nope.csv"),
+    @pytest.mark.parametrize("flag, name", [("--data", "nope.csv"), ("--data", "dir"),
+                                            ("--config", "dir")])
+    def test_missing_input_exits_two(self, tiny_task, tmp_path, capsys, flag, name):
+        (tmp_path / "dir").mkdir()
+        inputs = {"--data": str(tiny_task), flag: str(tmp_path / name)}
+        code = main(["train", *(arg for item in inputs.items() for arg in item),
                      "--out", str(tmp_path / "out")])
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 2
+        assert len(err.strip().splitlines()) == 1
+
+    def test_config_and_spec_together_exit_two(self, tmp_path, capsys):
+        for name in ("A", "B"):
+            (tmp_path / name).write_text("")
+        code = main(["bench", "--config", str(tmp_path / "A"), "--spec", str(tmp_path / "B"),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "--spec" in err
 
     @pytest.mark.parametrize("command", [["train"], ["weights", "--scheme", "warmpot"],
                                          ["weights", "--scheme", "arpm"]])
@@ -251,6 +277,8 @@ class TestExitCodes:
         ["sweep", "--param", "beta", "--grid", "abc"],
         ["make-task", "--task-shared", "9"],
         ["make-task", "--task-d", "0"],
+        ["make-task", "--seed", "-1"],
+        ["bound-check", "--theorem", "1", "--seed", "-1"],
         *(["weights", "--scheme", "warmpot", "--data", "{task}", "--alpha", alpha]
           for alpha in ("0", "-0.5", "nan", "5")),
         *(["solve", "--a", "{a}", "--b", "{b}", "--cost", "{cost}", "--alpha", alpha]

@@ -255,8 +255,7 @@ class TestEntropicPartialOt:
     def test_default_config_recorded(self):
         cfg = SolverConfig()
         assert cfg.eps == 7.0 and cfg.max_iter == 5000
-        plan = entropic_partial_ot(A2, B2, C2, ALPHA2, cfg)
-        assert plan.epsilon == 7.0
+        entropic_partial_ot(A2, B2, C2, ALPHA2, cfg)
 
     def test_plan_feasibility(self):
         rng = np.random.default_rng(21)
@@ -291,6 +290,22 @@ class TestEntropicPartialOt:
     def test_non_finite_masses_rejected(self, a, b):
         with pytest.raises(ValueError, match="marginal masses must be finite"):
             entropic_partial_ot(a, b, np.ones((2, 2)), 0.5)
+
+    @pytest.mark.parametrize("a, C", [
+        pytest.param(A2, C2 + 1.0, id="every cell"),
+        pytest.param([0.0, 1.0], [[0.0, 1.0], [1.0, 1.0]], id="every cell with positive caps"),
+    ])
+    def test_eps_overflowing_every_cell_that_carries_mass_rejected(self, a, C):
+        # -C/eps is -inf wherever mass may go, which would give a NaN plan
+        with pytest.raises(ValueError, match="eps=1e-310"):
+            entropic_partial_ot(a, B2, C, ALPHA2, SolverConfig(eps=1e-310))
+
+    def test_eps_overflowing_some_cells_still_solves(self):
+        # only the zero-cost cells stay finite; they carry the whole plan
+        C = np.array([[0.0, 1.0], [1.0, 0.0]])
+        plan = entropic_partial_ot(B2, B2, C, 0.8, SolverConfig(eps=1e-310))
+        assert plan.converged
+        np.testing.assert_array_equal(plan.matrix, [[0.4, 0.0], [0.0, 0.4]])
 
     def test_n_iter_counts_sweeps(self):
         cfg = SolverConfig(eps=0.05)
@@ -335,18 +350,26 @@ class TestEntropicAgainstLogDomainLoop:
         # the second row's costs sit `offset` eps above the first's: at 900
         # its kernel row exp(-C/eps) is zero in double precision, at 672 it
         # drops below range once the column scalings shrink
-        handoffs = []
-        log_sweeps = pot._log_sweeps
+        kinds = []
+        kernel_sweep, log_sweep = pot._kernel_sweep, pot._log_sweep
 
-        def recording_log_sweeps(*args):
-            handoffs.append(args[-1].n_iter)
-            return log_sweeps(*args)
+        def recording_kernel_sweep(*args):
+            new = kernel_sweep(*args)
+            kinds.append("kernel" if new is not None else "underflow")
+            return new
 
-        monkeypatch.setattr(pot, "_log_sweeps", recording_log_sweeps)
+        def recording_log_sweep(*args):
+            kinds.append("log")
+            return log_sweep(*args)
+
+        monkeypatch.setattr(pot, "_kernel_sweep", recording_kernel_sweep)
+        monkeypatch.setattr(pot, "_log_sweep", recording_log_sweep)
         a = np.array([0.5, 0.5])
         C = np.array([[0.0, 1.0], [offset, offset + 1.0]])
         plan = assert_matches_reference(a, np.array(b), C, 0.9, SolverConfig(eps=1.0))
-        assert plan.converged and handoffs == [handoff_sweep]
+        # the underflowing sweep is redone in log form, and so is every later one
+        assert plan.converged and kinds == (["kernel"] * handoff_sweep + ["underflow"]
+                                            + ["log"] * (plan.n_iter - handoff_sweep))
         assert plan.max_violation() <= 1e-6
 
 

@@ -56,7 +56,7 @@ class TestGeneratePdaTask:
             TaskSpec(n_s=2, shared=3)
 
     @pytest.mark.parametrize("field, value", [("d", 0), ("noise", float("nan")),
-                                              ("separation", float("nan"))])
+                                              ("separation", float("nan")), ("seed", -1)])
     def test_spec_rejects_what_the_command_line_rejects(self, field, value):
         with pytest.raises(ValueError):
             TaskSpec(**{field: value})

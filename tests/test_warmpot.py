@@ -277,7 +277,7 @@ class TestTrain:
     @pytest.mark.parametrize("field, value", [
         ("weight_scheme", "bogus"), ("feat_dim", -1), ("solver_max_iter", 0),
         ("solver_tol", 0.0), ("solver_tol", -1.0), ("eps", float("nan")),
-        ("lr", float("nan")), ("eta1", float("nan")),
+        ("lr", float("nan")), ("eta1", float("nan")), ("seed", -1),
     ])
     def test_config_rejects_what_the_command_line_rejects(self, field, value):
         with pytest.raises(ValueError):
