@@ -24,7 +24,6 @@ from .measures import (
     Hypothesis,
     LinearFeatureMap,
     LipschitzClassifier,
-    LossSpec,
     PdaDataset,
     clipped_abs_loss,
     empirical_feature_measure,

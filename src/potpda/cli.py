@@ -139,11 +139,6 @@ def parse_config(file=None, flags=None, preset: str = "default") -> RunConfig:
     return RunConfig(train_cfg, spec)
 
 
-def _write_echo(cfg: RunConfig, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_echo.txt").write_text(cfg.echo())
-
-
 def _load_task(path):
     """A malformed task CSV is an input error, reported with the file's name."""
     try:
@@ -238,8 +233,9 @@ def _write_histogram(path: Path, counts: np.ndarray) -> None:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
-    sys.stdout.write("\n")
+    """Print the payload as JSON in one write, so a payload that does not
+    serialise leaves nothing on stdout."""
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _or_null(value: float) -> float | None:
@@ -473,8 +469,12 @@ def dispatch(args: argparse.Namespace) -> int:
         config_file = spec_file
     cfg = parse_config(config_file, flags, preset=args.preset)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_echo(cfg, out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: cannot make the output directory: "
+                          f"{exc.strerror}") from exc
+    (out_dir / "config_echo.txt").write_text(cfg.echo())
     return COMMANDS[args.command](args, cfg, out_dir)
 
 

@@ -1,21 +1,22 @@
-"""Datasets, cost matrices, losses, linear hypotheses, and the CSV task format."""
+"""Datasets, cost matrices, the label loss, linear hypotheses, and the CSV task format."""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from ._scipy_ext import cdist_euclidean
+
+# slack of every Lipschitz certificate check ||v|| <= gamma
+CERT_TOL = 1e-9
 
 __all__ = [
     "PdaDataset",
     "LinearFeatureMap",
     "LipschitzClassifier",
     "Hypothesis",
-    "LossSpec",
     "clipped_abs_loss",
     "empirical_feature_measure",
     "feature_cost_matrix",
@@ -106,8 +107,8 @@ class LipschitzClassifier:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
 
-    def is_certified(self, tol: float = 1e-9) -> bool:
-        return float(np.linalg.norm(self.v)) <= self.gamma + tol
+    def is_certified(self) -> bool:
+        return float(np.linalg.norm(self.v)) <= self.gamma + CERT_TOL
 
     def __call__(self, feats: np.ndarray) -> np.ndarray:
         feats = np.atleast_2d(np.asarray(feats, dtype=float))
@@ -125,33 +126,10 @@ class Hypothesis:
         return self.classifier(self.feature_map(x))
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """Per-pair label loss: a bounded metric mapping into [0, 1]."""
-
-    kind: Literal["clipped-abs", "zero-one"]
-
-    def __post_init__(self):
-        if self.kind not in ("clipped-abs", "zero-one"):
-            raise ValueError(f"unknown loss kind {self.kind!r}; expected clipped-abs or zero-one")
-
-    def pairwise(self, y: np.ndarray, y_other: np.ndarray) -> np.ndarray:
-        """Matrix of losses between every y (rows) and every y_other (columns)."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        y_other = np.atleast_1d(np.asarray(y_other, dtype=float))
-        return self.elementwise(y[:, None], y_other[None, :])
-
-    def elementwise(self, y_pred: np.ndarray, y_true: np.ndarray) -> np.ndarray:
-        """Losses of matching entries; the two arrays broadcast."""
-        y_pred = np.atleast_1d(np.asarray(y_pred, dtype=float))
-        y_true = np.atleast_1d(np.asarray(y_true, dtype=float))
-        if self.kind == "clipped-abs":
-            return np.minimum(np.abs(y_pred - y_true), 1.0)
-        return (y_pred != y_true).astype(float)
-
-
-def clipped_abs_loss() -> LossSpec:
-    return LossSpec("clipped-abs")
+def clipped_abs_loss(y_pred, y_true) -> np.ndarray:
+    """Label loss min(|y_pred - y_true|, 1), a metric bounded by 1; the two
+    arrays broadcast."""
+    return np.minimum(np.abs(np.asarray(y_pred, dtype=float) - np.asarray(y_true, dtype=float)), 1.0)
 
 
 def empirical_feature_measure(samples, feature_map: LinearFeatureMap, scale: float):
@@ -181,7 +159,7 @@ def feature_cost_matrix(source_feats, target_feats, gamma: float) -> np.ndarray:
 
 
 def joint_cost_matrix(source_feats, source_labels, target_feats, predicted_labels,
-                      zeta_gamma: float, loss: LossSpec) -> np.ndarray:
+                      zeta_gamma: float) -> np.ndarray:
     """Joint ground cost: zeta*gamma * feature distance + label-loss distance.
 
     zeta_gamma = 0 degenerates to the pure label-distance matrix.
@@ -196,7 +174,7 @@ def joint_cost_matrix(source_feats, source_labels, target_feats, predicted_label
     y_pred = np.asarray(predicted_labels, dtype=float)
     if y_pred.shape[0] != ft.shape[0]:
         raise ValueError("predicted labels misaligned with target features")
-    return zeta_gamma * cdist_euclidean(fs, ft) + loss.pairwise(y, y_pred)
+    return zeta_gamma * cdist_euclidean(fs, ft) + clipped_abs_loss(y[:, None], y_pred[None, :])
 
 
 def load_dataset(path) -> PdaDataset:

@@ -315,7 +315,8 @@ def train(ds: PdaDataset, cfg: TrainConfig):
     Returns the final params and a per-iteration trace.  When the dataset
     carries hidden target labels, the trace records the share of source weight
     on classes absent from the target.  Source labels that are not
-    nonnegative integers raise ValueError.
+    nonnegative integers raise ValueError; parameters that diverge raise
+    FloatingPointError naming the iteration.
     """
     source_y = class_labels(ds.source_y)
     rng = np.random.default_rng(cfg.seed)
@@ -330,31 +331,37 @@ def train(ds: PdaDataset, cfg: TrainConfig):
 
     scheme_full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
     trace = []
-    for it in range(cfg.total_iters):
-        alpha = alpha_schedule(it, cfg)
-        si = rng.choice(ds.n_s, size=cfg.batch_size, replace=cfg.batch_size > ds.n_s)
-        ti = rng.choice(ds.n_t, size=cfg.batch_size, replace=cfg.batch_size > ds.n_t)
-        bs_x, bs_y, bt_x = ds.source_x[si], source_y[si], ds.target_x[ti]
+    # an overflow or an invalid operation means the parameters have diverged;
+    # it raises where it happens, and the error names the step
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for it in range(cfg.total_iters):
+                alpha = alpha_schedule(it, cfg)
+                si = rng.choice(ds.n_s, size=cfg.batch_size, replace=cfg.batch_size > ds.n_s)
+                ti = rng.choice(ds.n_t, size=cfg.batch_size, replace=cfg.batch_size > ds.n_t)
+                bs_x, bs_y, bt_x = ds.source_x[si], source_y[si], ds.target_x[ti]
 
-        if cfg.weight_scheme != "warmpot" and it % cfg.weight_update_every == 0 and it > 0:
-            scheme_full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
-        batch_weights = None
-        if scheme_full is not None:
-            raw = scheme_full[si]
-            total = raw.sum()
-            batch_weights = raw / total if total > 0 else np.full(len(si), 1.0 / len(si))
+                if cfg.weight_scheme != "warmpot" and it % cfg.weight_update_every == 0 and it > 0:
+                    scheme_full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
+                batch_weights = None
+                if scheme_full is not None:
+                    raw = scheme_full[si]
+                    total = raw.sum()
+                    batch_weights = raw / total if total > 0 else np.full(len(si), 1.0 / len(si))
 
-        params, info = warmpot_step(params, bs_x, bs_y, bt_x, alpha, cfg, batch_weights)
-        row = {
-            "iter": it,
-            "alpha": info["alpha"],
-            "objective": info["objective"],
-            "plan_mass": info["plan_mass"],
-            "solver_converged": int(info["solver_converged"]),
-        }
-        if outlier_mask is not None:
-            p = info["p_hat"]
-            total = p.sum()
-            row["outlier_weight_share"] = float(p[outlier_mask[si]].sum() / total) if total > 0 else 0.0
-        trace.append(row)
+                params, info = warmpot_step(params, bs_x, bs_y, bt_x, alpha, cfg, batch_weights)
+                row = {
+                    "iter": it,
+                    "alpha": info["alpha"],
+                    "objective": info["objective"],
+                    "plan_mass": info["plan_mass"],
+                    "solver_converged": int(info["solver_converged"]),
+                }
+                if outlier_mask is not None:
+                    p = info["p_hat"]
+                    total = p.sum()
+                    row["outlier_weight_share"] = float(p[outlier_mask[si]].sum() / total) if total > 0 else 0.0
+                trace.append(row)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"training diverged at iteration {it}: {exc}") from exc
     return params, trace

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from potpda.bounds import (
+    CANDIDATE_BIAS_HIGH,
+    CANDIDATE_BIAS_LOW,
     FiniteClassifierSet,
     BoundReport,
     PacBayesConfig,
@@ -26,14 +28,17 @@ from potpda.measures import (
     LinearFeatureMap,
     LipschitzClassifier,
     PdaDataset,
-    clipped_abs_loss,
 )
-
-LOSS = clipped_abs_loss()
 
 
 def make_set(classifiers, gamma):
-    return FiniteClassifierSet(tuple(classifiers), gamma)
+    return FiniteClassifierSet(np.stack([g.v for g in classifiers]),
+                               np.array([g.b for g in classifiers]), gamma)
+
+
+def heads(G):
+    """The set's candidates as classifier objects."""
+    return [LipschitzClassifier(v, b, G.gamma) for v, b in zip(G.V, G.b)]
 
 
 class TestLf:
@@ -44,7 +49,7 @@ class TestLf:
         x = rng.normal(size=(12, 3))
         labels = truth(f(x))
         G = make_set([truth, LipschitzClassifier(np.array([1.0, 0.0]), 0.0, 1.0)], 1.0)
-        assert difficulty_term(f, G, x, labels, LOSS) == pytest.approx(0.0, abs=1e-12)
+        assert difficulty_term(f, G, x, labels) == pytest.approx(0.0, abs=1e-12)
 
     def test_singleton_is_plain_max(self):
         rng = np.random.default_rng(1)
@@ -53,7 +58,7 @@ class TestLf:
         x = rng.normal(size=(9, 2))
         y = rng.uniform(0, 1, 9)
         expected = max(min(abs(p - t), 1.0) for p, t in zip(g(f(x)), y))
-        assert difficulty_term(f, make_set([g], 1.0), x, y, LOSS) == pytest.approx(expected, abs=1e-12)
+        assert difficulty_term(f, make_set([g], 1.0), x, y) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -67,11 +72,48 @@ class TestLf:
         feats = f(x)
         oracle = min(max(min(abs(float(g(feats[i:i + 1])[0]) - y[i]), 1.0)
                          for i in range(10)) for g in cands)
-        assert difficulty_term(f, G, x, y, LOSS) == pytest.approx(oracle, abs=1e-12)
+        assert difficulty_term(f, G, x, y) == pytest.approx(oracle, abs=1e-12)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            FiniteClassifierSet((), 1.0)
+            FiniteClassifierSet(np.empty((0, 2)), np.empty(0), 1.0)
+
+
+def loop_grid(gamma, feat_dim, size, rng):
+    """Per-direction loop over the candidate grid: one unit direction per
+    magnitude-by-bias block, bias fastest, stopping at `size` candidates."""
+    n_levels = max(2, int(round(math.sqrt(size))))
+    magnitudes = np.linspace(gamma / n_levels, gamma, n_levels)
+    biases = np.linspace(CANDIDATE_BIAS_LOW, CANDIDATE_BIAS_HIGH, n_levels)
+    vs, bs = [], []
+    while len(vs) < size:
+        direction = rng.normal(size=feat_dim)
+        direction /= max(np.linalg.norm(direction), 1e-12)
+        for mag in magnitudes:
+            for bias in biases:
+                if len(vs) < size:
+                    vs.append(mag * direction)
+                    bs.append(float(bias))
+    return np.stack(vs), np.array(bs)
+
+
+class TestBuild:
+    @pytest.mark.parametrize("gamma, feat_dim, size",
+                             [(1.5, 2, 8), (2.0, 3, 24), (0.7, 1, 25), (1.0, 5, 40),
+                              (3.0, 16, 7), (2.5, 33, 100)])
+    def test_matches_per_direction_loop(self, gamma, feat_dim, size):
+        rng_grid, rng_loop = np.random.default_rng(size), np.random.default_rng(size)
+        G = FiniteClassifierSet.build(gamma, feat_dim, size, rng_grid)
+        V, b = loop_grid(gamma, feat_dim, size, rng_loop)
+        np.testing.assert_array_equal(G.V, V)
+        np.testing.assert_array_equal(G.b, b)
+        assert G.gamma == gamma
+        # the same number of draws: the generators stay in step
+        assert rng_grid.normal() == rng_loop.normal()
+
+    def test_uncertified_candidate_rejected(self):
+        with pytest.raises(ValueError, match="Lipschitz certificate"):
+            FiniteClassifierSet(np.array([[0.6, 0.8], [3.0, 4.0]]), np.zeros(2), 1.0)
 
 
 def identical_domain_instance(rng, n=8):
@@ -86,6 +128,23 @@ def identical_domain_instance(rng, n=8):
     return w, ds, G
 
 
+class TestHiddenLabels:
+    @pytest.mark.parametrize("theorem", (1, 2))
+    def test_checked_before_any_solve(self, monkeypatch, theorem):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the plan was solved before the hidden-label check")
+
+        monkeypatch.setattr("potpda.bounds.exact_partial_ot", no_solve)
+        rng = np.random.default_rng(18)
+        w, ds, alpha, beta, gamma, G = random_bound_instance(rng, n_max=10)
+        unlabeled = PdaDataset(ds.source_x, ds.source_y, ds.target_x)
+        with pytest.raises(ValueError, match="^bound evaluation needs hidden target labels$"):
+            if theorem == 1:
+                feature_bound_report(w, unlabeled, alpha, beta, gamma, G)
+            else:
+                joint_bound_report(w, unlabeled, alpha, beta, gamma, 1.0, G)
+
+
 class TestTheorem1:
     def test_identical_domains_perfect_hypothesis(self):
         rng = np.random.default_rng(3)
@@ -96,7 +155,7 @@ class TestTheorem1:
         assert report.pw_term == pytest.approx(0.0, abs=1e-9)
         assert report.tv_term == pytest.approx(0.0, abs=1e-9)
         assert report.rhs_total == pytest.approx(2 * difficulty_term(w.feature_map, G, ds.source_x,
-                                                         ds.source_y, LOSS), abs=1e-9)
+                                                         ds.source_y), abs=1e-9)
 
     def test_paper_alignment_parameters_accepted(self):
         rng = np.random.default_rng(4)
@@ -125,7 +184,7 @@ class TestTheorem1:
         rng = np.random.default_rng(7)
         w, ds, alpha, beta, gamma, G = random_bound_instance(rng, n_max=12)
         full = feature_bound_report(w, ds, alpha, beta, gamma, G)
-        for g in G.candidates[:5]:
+        for g in heads(G)[:5]:
             single = feature_bound_report(w, ds, alpha, beta, gamma, make_set([g], G.gamma))
             assert single.rhs_total >= full.rhs_total - 1e-12
 
@@ -137,7 +196,7 @@ class TestXiTerm:
         g = LipschitzClassifier(np.array([0.5, 0.0]), 0.0, 1.0)
         val = min_decomposition_gap(f, make_set([g], 1.0), np.array([0.5, 0.5]), np.array([0.4, 0.6]),
                       1.0, rng.normal(size=(2, 2)), [0.1, 0.9],
-                      rng.normal(size=(2, 2)), [0.2, 0.8], LOSS)
+                      rng.normal(size=(2, 2)), [0.2, 0.8])
         assert val == 0.0
 
     def test_shared_minimizer_zero(self):
@@ -150,7 +209,7 @@ class TestXiTerm:
         y_t = best(f(x_t))
         worse = LipschitzClassifier(np.array([-0.9, 0.1]), 0.0, 1.0)
         val = min_decomposition_gap(f, make_set([best, worse], 1.0), np.full(6, 1 / 6), np.full(5, 0.2),
-                      1.0, x_s, y_s, x_t, y_t, LOSS)
+                      1.0, x_s, y_s, x_t, y_t)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_triple_enumeration(self):
@@ -173,7 +232,7 @@ class TestXiTerm:
         b_vals = [weighted(g, x_t, y_t, q_hat) for g in cands]
         oracle = min(a + b for a, b in zip(a_vals, b_vals)) - (min(a_vals) + min(b_vals))
         val = min_decomposition_gap(f, make_set(cands, gamma), p_hat, q_hat, alpha,
-                      x_s, y_s, x_t, y_t, LOSS)
+                      x_s, y_s, x_t, y_t)
         assert val == pytest.approx(max(oracle, 0.0), abs=1e-12)
 
     def test_nonnegative_on_random_inputs(self):
@@ -189,7 +248,7 @@ class TestXiTerm:
             cands = [rand_classifier() for _ in range(rng.integers(1, 6))]
             val = min_decomposition_gap(f, make_set(cands, 1.0), rng.random(4), rng.random(3), 0.5,
                           rng.normal(size=(4, 2)), rng.uniform(0, 1, 4),
-                          rng.normal(size=(3, 2)), rng.uniform(0, 1, 3), LOSS)
+                          rng.normal(size=(3, 2)), rng.uniform(0, 1, 3))
             assert val >= 0.0
 
 
@@ -227,7 +286,7 @@ class TestLossDifferenceCheck:
             w, ds, _, _, _, G = random_bound_instance(rng, n_max=15)
             inputs = np.vstack([ds.source_x, ds.target_x])
             labels = np.concatenate([ds.source_y, ds.target_y_hidden])
-            assert loss_difference_check(w, G, inputs, labels, LOSS) <= 1e-9
+            assert loss_difference_check(w, G, inputs, labels) <= 1e-9
 
     def test_identical_pair_has_nonnegative_slack(self):
         rng = np.random.default_rng(16)
@@ -236,19 +295,19 @@ class TestLossDifferenceCheck:
         w = Hypothesis(f, g)
         x = np.tile(rng.normal(size=(1, 2)), (2, 1))
         y = np.array([0.4, 0.4])
-        assert loss_difference_check(w, make_set([g], 1.0), x, y, LOSS) <= 0.0 + 1e-12
+        assert loss_difference_check(w, make_set([g], 1.0), x, y) <= 0.0 + 1e-12
 
     def test_inflating_gamma_loosens_the_bound(self):
         rng = np.random.default_rng(17)
         w, ds, _, _, gamma, G = random_bound_instance(rng, n_max=10)
         inputs = np.vstack([ds.source_x, ds.target_x])
         labels = np.concatenate([ds.source_y, ds.target_y_hidden])
-        tight = loss_difference_check(w, G, inputs, labels, LOSS)
+        tight = loss_difference_check(w, G, inputs, labels)
         inflated = Hypothesis(w.feature_map,
                               LipschitzClassifier(w.classifier.v, w.classifier.b,
                                                   w.classifier.gamma * 10))
-        G_inflated = FiniteClassifierSet(G.candidates, G.gamma * 10)
-        loose = loss_difference_check(inflated, G_inflated, inputs, labels, LOSS)
+        G_inflated = FiniteClassifierSet(G.V, G.b, G.gamma * 10)
+        loose = loss_difference_check(inflated, G_inflated, inputs, labels)
         assert loose <= tight + 1e-12
 
 
@@ -292,10 +351,10 @@ class TestPacBayes:
         alpha, beta = 0.8, 0.5
         x_s = rng.normal(size=(12, 2))
         x_t = rng.normal(size=(9, 2))
-        labeler = G.candidates[0]
+        labeler = heads(G)[0]
         ds = PdaDataset(x_s, labeler(f(x_s)), x_t, labeler(f(x_t)))
 
-        from potpda.bounds import _candidate_losses, _pooled, difficulty_term
+        from potpda.bounds import _candidate_losses, difficulty_term
         from potpda.measures import empirical_feature_measure, feature_cost_matrix
         from potpda.pot import exact_partial_ot
         from potpda.weights import marginal_weights, tv_term
@@ -305,13 +364,14 @@ class TestPacBayes:
         C = feature_cost_matrix(feats_s, feats_t, gamma)
         plan, pw = exact_partial_ot(masses_s, masses_t, C, alpha)
         p, q = marginal_weights(plan)
-        inputs, labels = _pooled(ds)
+        inputs = np.vstack([ds.source_x, ds.target_x])
+        labels = np.concatenate([ds.source_y, ds.target_y_hidden])
         shared = (2.0 / alpha * pw + tv_term(q, alpha, ds.n_t)
-                  + 2.0 * difficulty_term(f, G, inputs, labels, LOSS))
-        src_cand = _candidate_losses(G, feats_s, np.asarray(ds.source_y, dtype=float), LOSS)
+                  + 2.0 * difficulty_term(f, G, inputs, labels))
+        src_cand = _candidate_losses(G, feats_s, np.asarray(ds.source_y, dtype=float))
         fast = src_cand @ (p.values / alpha) + shared
 
-        for m, g in enumerate(G.candidates):
+        for m, g in enumerate(heads(G)):
             report = theorem_report = feature_bound_report(Hypothesis(f, g), ds,
                                                            alpha, beta, gamma, G)
             assert fast[m] == pytest.approx(theorem_report.rhs_total, abs=1e-10)

@@ -131,6 +131,25 @@ class TestSolveCommand:
         capsys.readouterr()
         assert code == 1
 
+    def test_unserialisable_payload_leaves_stdout_empty(self, tmp_path, capsys, monkeypatch):
+        import potpda.cli
+
+        def nan_cost(a, b, C, alpha):
+            plan, _ = exact_partial_ot(a, b, C, alpha)
+            return plan, float("nan")
+
+        monkeypatch.setattr(potpda.cli, "exact_partial_ot", nan_cost)
+        np.savetxt(tmp_path / "a.csv", [0.6, 0.4], delimiter=",")
+        np.savetxt(tmp_path / "b.csv", [0.5, 0.5], delimiter=",")
+        np.savetxt(tmp_path / "C.csv", [[1.0, 2.0], [3.0, 0.0]], delimiter=",")
+        code = main(["solve", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                     "--cost", str(tmp_path / "C.csv"), "--alpha", "0.5",
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_eps_overflowing_every_cost_is_computation_failure(self, tmp_path, capsys):
         np.savetxt(tmp_path / "a.csv", [0.6, 0.4], delimiter=",")
         np.savetxt(tmp_path / "b.csv", [0.5, 0.5], delimiter=",")
@@ -175,6 +194,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_naming_a_file_exits_two(self, tiny_task, tmp_path, capsys, below):
+        out = tiny_task / "run" if below else tiny_task
+        code = main(["train", "--data", str(tiny_task), "--out", str(out)] + FAST_FLAGS)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1 and "--out" in captured.err
 
     def test_config_and_spec_together_exit_two(self, tmp_path, capsys):
         for name in ("A", "B"):
@@ -495,6 +523,17 @@ class TestTrainCommand:
                                        "--seed", "7", "--out", str(out)] + FAST_FLAGS)
             assert code == 0
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+
+    def test_diverging_training_names_the_iteration(self, tiny_task, tmp_path, capsys):
+        code = main(["train", "--data", str(tiny_task), "--lr", "1e30", "--total-iters", "50",
+                     "--ramp-iters", "25", "--batch-size", "16", "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and "Warning" not in lines[0]
+        assert lines[0].startswith("error: training diverged at iteration ")
 
 
 class TestWeightsCommand:

@@ -9,7 +9,6 @@ from scipy.spatial.distance import cdist
 from potpda.measures import (
     LinearFeatureMap,
     LipschitzClassifier,
-    LossSpec,
     PdaDataset,
     clipped_abs_loss,
     empirical_feature_measure,
@@ -107,14 +106,14 @@ class TestJointCostMatrix:
     def test_identical_features_and_labels_zero(self):
         feats = np.arange(4.0).reshape(2, 2)
         labels = np.array([0.2, 0.7])
-        C = joint_cost_matrix(feats, labels, feats, labels, 1.0, clipped_abs_loss())
+        C = joint_cost_matrix(feats, labels, feats, labels, 1.0)
         np.testing.assert_allclose(np.diag(C), 0.0, atol=1e-12)
 
     def test_zero_feature_weight_gives_pure_label_distance(self):
         rng = np.random.default_rng(0)
         fs, ft = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
         ys, yt = rng.uniform(0, 1, 3), rng.uniform(0, 1, 4)
-        C = joint_cost_matrix(fs, ys, ft, yt, 0.0, clipped_abs_loss())
+        C = joint_cost_matrix(fs, ys, ft, yt, 0.0)
         np.testing.assert_allclose(C, np.minimum(np.abs(ys[:, None] - yt[None, :]), 1.0))
 
     def test_matches_elementwise_oracle(self):
@@ -122,7 +121,7 @@ class TestJointCostMatrix:
         fs, ft = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
         ys, yt = rng.uniform(0, 1, 2), rng.uniform(0, 1, 2)
         zg = 0.6
-        C = joint_cost_matrix(fs, ys, ft, yt, zg, clipped_abs_loss())
+        C = joint_cost_matrix(fs, ys, ft, yt, zg)
         for i in range(2):
             for j in range(2):
                 expected = zg * np.linalg.norm(fs[i] - ft[j]) + min(abs(ys[i] - yt[j]), 1.0)
@@ -134,7 +133,7 @@ class TestJointCostMatrix:
         labels_s = np.full(4, 0.3)
         labels_t = np.full(5, 0.3)
         zg = 1.9
-        joint = joint_cost_matrix(fs, labels_s, ft, labels_t, zg, clipped_abs_loss())
+        joint = joint_cost_matrix(fs, labels_s, ft, labels_t, zg)
         feat = feature_cost_matrix(fs, ft, 1.0)
         np.testing.assert_allclose(joint, zg * feat, atol=1e-12)
 
@@ -143,23 +142,13 @@ class TestLossSpecs:
     @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=200, deadline=None)
     def test_clipped_abs_is_bounded_metric(self, a, b, c):
-        loss = clipped_abs_loss()
-
         def ell(x, y):
-            return float(loss.elementwise(np.array([x]), np.array([y]))[0])
+            return float(clipped_abs_loss(np.array([x]), np.array([y]))[0])
 
         assert 0.0 <= ell(a, b) <= 1.0
         assert ell(a, b) == ell(b, a)
         assert ell(a, a) == 0.0
         assert ell(a, c) <= ell(a, b) + ell(b, c) + 1e-12
-
-    def test_zero_one_values(self):
-        loss = LossSpec("zero-one")
-        np.testing.assert_allclose(loss.pairwise([0, 1], [0, 1]), [[0, 1], [1, 0]])
-
-    def test_only_bounded_metric_kinds(self):
-        with pytest.raises(ValueError, match="unknown loss kind"):
-            LossSpec("cross-entropy")
 
 
 class TestHypothesis:
