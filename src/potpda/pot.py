@@ -3,11 +3,13 @@
 The problem: minimize sum(C * P) over nonnegative plans P with row sums
 dominated by ``a``, column sums dominated by ``b``, and total mass exactly
 ``alpha``.  The exact path reduces to a balanced transportation problem by
-appending one dummy row and column, and solves it with HiGHS through the
-binding scipy's own LP interface calls, without that interface's per-call
-input and option handling.  ``_scipy_ext`` loads the binding from its
-extension file alone, so importing this module skips the start-up cost of
-scipy's optimize package.
+appending one dummy row and column.  It solves that problem over a shortlist
+of cells (the shortlist method of Gottschlich and Schuhmacher, 2014) and
+certifies the result on the full matrix by its reduced costs.  HiGHS solves
+each sparse LP through the binding scipy's own LP interface calls, without
+that interface's per-call input and option handling.  ``_scipy_ext`` loads
+the binding from its extension file alone, so importing this module skips
+the start-up cost of scipy's optimize package.
 """
 
 from __future__ import annotations
@@ -32,15 +34,21 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+# cheapest cells of each row and of each column on the transportation LP's
+# first shortlist, and most negative reduced-cost cells per row added on each
+# later round
+_SHORTLIST_K = 6
 
 
 @dataclass(frozen=True)
 class TransportPlan:
     """A coupling matrix together with the caps and mass it must respect.
 
-    ``n_iter`` is the solver's iteration count: entropic sweeps, or HiGHS's
-    ``simplex_iteration_count`` for exact plans (the ``nit`` that scipy's
-    ``method="highs"`` LP interface reports on the same LP).
+    ``n_iter`` is the solver's iteration count: entropic sweeps, or for exact
+    plans HiGHS's ``simplex_iteration_count`` summed over the shortlist's LP
+    rounds.  When the shortlist holds every cell there is one round, and the
+    count is the ``nit`` that scipy's ``method="highs"`` LP interface reports
+    on the dense LP.
     """
 
     matrix: np.ndarray
@@ -123,34 +131,111 @@ def _check_inputs(a, b, C, alpha: float):
 
 def _transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     """Balanced transportation LP with equality marginals; returns the plan,
-    carrying HiGHS's iteration count, and the row and column duals.
+    carrying the simplex iterations of all its LP rounds, and the row and
+    column duals.
 
-    HiGHS gets the model, options and column order that scipy's
-    ``method="highs"`` LP interface would give it, so it returns the same
+    The first round solves over a shortlist: the _SHORTLIST_K cheapest cells
+    of each row and of each column, plus a north-west-corner support that
+    keeps the sparse LP feasible.  Its duals f and g certify the plan on the
+    full LP when every cell left out of the LP has reduced cost
+    C - f - g >= -EXACT_FEAS_TOL; HiGHS's optimal status covers the cells in
+    it.  The certified f and g are optimal duals of the full LP.  Otherwise
+    each row's _SHORTLIST_K most negative cells join the LP, and HiGHS
+    solves it again from its last optimal basis.
+
+    When _SHORTLIST_K >= min(m, n) the shortlist holds every cell, and HiGHS
+    gets the model, options and column order that scipy's ``method="highs"``
+    LP interface would give it on the dense LP, so it returns the same
     optimal vertex and duals.
     """
     if not (np.all(np.isfinite(C)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("transportation LP costs and masses must be finite")
     m, n = C.shape
-    n_var = m * n
+    keep = _cheapest(C, axis=1) | _cheapest(C, axis=0)
+    keep[_north_west_corner(a, b)] = True
+    rows, cols = np.nonzero(keep)
+    solver = _lp_solver(a, b, C, rows, cols)
+    n_iter = 0
+    while True:
+        x, f, g, iters = _run(solver, m)
+        n_iter += iters
+        reduced = C - f[:, None] - g[None, :]
+        missing = (reduced < -EXACT_FEAS_TOL) & ~keep
+        if not missing.any():
+            break
+        new_rows, new_cols = np.nonzero(_cheapest(np.where(missing, reduced, np.inf), axis=1)
+                                        & missing)
+        keep[new_rows, new_cols] = True
+        # the new cells enter nonbasic at zero: the last basis stays primal
+        # feasible, and HiGHS restarts from it
+        starts, index = _cell_columns(m, new_rows, new_cols)
+        k = len(new_rows)
+        solver.addCols(k, C[new_rows, new_cols], np.zeros(k), np.full(k, _highs.kHighsInf),
+                       2 * k, starts[:-1], index, np.ones(2 * k))
+        rows, cols = np.concatenate([rows, new_rows]), np.concatenate([cols, new_cols])
+    matrix = np.zeros((m, n))
+    matrix[rows, cols] = x
+    return TransportPlan(matrix, a, b, float(a.sum()), n_iter=n_iter), f, g
+
+
+def _cheapest(C: np.ndarray, axis: int) -> np.ndarray:
+    """Mask of the _SHORTLIST_K smallest entries along ``axis``; all of them
+    when the axis is no longer."""
+    keep = np.zeros(C.shape, dtype=bool)
+    if C.shape[axis] <= _SHORTLIST_K:
+        keep[:] = True
+        return keep
+    idx = np.argpartition(C, _SHORTLIST_K - 1, axis=axis)
+    np.put_along_axis(keep, np.take(idx, np.arange(_SHORTLIST_K), axis=axis), True, axis=axis)
+    return keep
+
+
+def _north_west_corner(a: np.ndarray, b: np.ndarray):
+    """Row and column indices of the north-west-corner plan's support.
+
+    Row i holds the mass interval (A_{i-1}, A_i] of the cumulative sums A of
+    ``a``, and column j the interval (B_{j-1}, B_j].  Each breakpoint of the
+    merged sums ends an interval shared by one row and one column, the cell
+    that carries it; a rounding excess in the last sum maps to the last
+    index.
+    """
+    ends_a, ends_b = np.cumsum(a), np.cumsum(b)
+    breaks = np.concatenate([ends_a, ends_b])
+    rows = np.minimum(np.searchsorted(ends_a, breaks), len(a) - 1)
+    cols = np.minimum(np.searchsorted(ends_b, breaks), len(b) - 1)
+    return rows, cols
+
+
+def _cell_columns(m: int, rows: np.ndarray, cols: np.ndarray):
+    """Column starts and row indices of the cells' CSC constraint columns:
+    cell (rows[k], cols[k]) has ones in constraint rows rows[k] and
+    m + cols[k]."""
+    index = np.empty(2 * len(rows), dtype=np.int32)
+    index[0::2] = rows
+    index[1::2] = m + cols
+    return np.arange(0, 2 * len(rows) + 1, 2, dtype=np.int32), index
+
+
+def _lp_solver(a, b, C, rows, cols):
+    """A HiGHS solver holding the transportation LP restricted to the cells
+    (rows[k], cols[k]), taken in that order.
+
+    The options are the ones scipy's ``method="highs"`` LP interface sets;
+    HiGHS's own presolve default is "choose".
+    """
+    m, n = C.shape
+    n_var = len(rows)
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n_var
     lp.num_row_ = lp.a_matrix_.num_row_ = m + n
-    lp.col_cost_ = C.ravel()
+    lp.col_cost_ = C[rows, cols]
     lp.col_lower_ = np.zeros(n_var)
     lp.col_upper_ = np.full(n_var, _highs.kHighsInf)
     lp.row_lower_ = lp.row_upper_ = np.concatenate([a, b])
-    # column k = i*n + j of the CSC (m+n) x mn constraint matrix has ones in
-    # rows i and m+j
-    rows = np.empty(2 * n_var, dtype=int)
-    rows[0::2] = np.repeat(np.arange(m), n)
-    rows[1::2] = np.tile(np.arange(m, m + n), m)
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.arange(0, 2 * n_var + 1, 2)
-    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = _cell_columns(m, rows, cols)
     lp.a_matrix_.value_ = np.ones(2 * n_var)
 
-    # the options scipy's LP interface sets; HiGHS's own presolve default is "choose"
     options = _highs.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -161,33 +246,41 @@ def _transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     solver.passOptions(options)
     if solver.passModel(lp) == _highs.HighsStatus.kError:
         raise RuntimeError("transportation LP failed: HiGHS rejected the model")
+    return solver
+
+
+def _run(solver, m: int):
+    """Solve the solver's LP: the cell values, the row and column duals and
+    the simplex iteration count of this run."""
     solver.run()
     status = solver.getModelStatus()
     if status != _highs.HighsModelStatus.kOptimal:
         raise RuntimeError(f"transportation LP failed: {solver.modelStatusToString(status)}")
     solution = solver.getSolution()
-    x = np.clip(np.array(solution.col_value), 0.0, None)
-    plan = TransportPlan(x.reshape(m, n), a, b, float(a.sum()),
-                         n_iter=int(solver.getInfo().simplex_iteration_count))
     duals = np.array(solution.row_dual)
-    return plan, duals[:m], duals[m:]
+    return (np.clip(np.array(solution.col_value), 0.0, None), duals[:m], duals[m:],
+            int(solver.getInfo().simplex_iteration_count))
 
 
 def exact_partial_ot(a, b, C, alpha: float):
     """Optimal plan and cost of the fixed-mass partial transport problem.
 
     Appends a dummy row of mass total(b) - alpha and a dummy column of mass
-    total(a) - alpha, with zero cost to the dummies and a prohibitive cost at
-    the dummy-dummy cell, then solves the balanced problem exactly.
+    total(a) - alpha, with zero cost to the dummies, then solves the balanced
+    problem exactly.  Mass through the dummy-dummy cell would let the real
+    cells move more than alpha, so that cell costs 2(m+n) times the largest
+    cost, plus one.  That penalty holds only on costs >= 0; costs below zero
+    are first shifted up by -min(C).  Every feasible plan moves mass alpha,
+    so the shift keeps the optimal plans, and the cost is reported on C.
     """
     a, b, C, alpha = _check_inputs(a, b, C, alpha)
     m, n = C.shape
-    big = 2.0 * (m + n) * float(C.max()) + 1.0
+    shifted = C - min(float(C.min()), 0.0)
     a_ext = np.append(a, b.sum() - alpha)
     b_ext = np.append(b, a.sum() - alpha)
     C_ext = np.zeros((m + 1, n + 1))
-    C_ext[:m, :n] = C
-    C_ext[m, n] = big
+    C_ext[:m, :n] = shifted
+    C_ext[m, n] = 2.0 * (m + n) * float(shifted.max()) + 1.0
 
     full, _, _ = _transport_lp(a_ext, b_ext, C_ext)
     plan = TransportPlan(full.matrix[:m, :n], a, b, alpha, n_iter=full.n_iter)

@@ -107,6 +107,22 @@ class TestSolveCommand:
         plan = np.loadtxt(payload["plan_path"], delimiter=",")
         np.testing.assert_allclose(plan, [[0.1, 0.0], [0.0, 0.4]], atol=1e-9)
 
+    def test_exact_solve_on_costs_below_zero(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        C = -10.0 * rng.random((4, 4))
+        np.savetxt(tmp_path / "a.csv", np.full(4, 0.25), delimiter=",")
+        np.savetxt(tmp_path / "b.csv", np.full(4, 0.25), delimiter=",")
+        np.savetxt(tmp_path / "C.csv", C, delimiter=",")
+        code, payload = run_cli(capsys, [
+            "solve", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+            "--cost", str(tmp_path / "C.csv"), "--alpha", "0.5", "--method", "exact",
+            "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert 0.0 <= payload["max_violation"] <= 1e-9
+        plan = np.loadtxt(payload["plan_path"], delimiter=",")
+        assert plan.sum() == pytest.approx(0.5, abs=1e-9)
+        assert payload["cost"] == pytest.approx(float(np.sum(C * plan)), abs=1e-9)
+
     def test_entropic_method(self, tmp_path, capsys):
         np.savetxt(tmp_path / "a.csv", [0.6, 0.4], delimiter=",")
         np.savetxt(tmp_path / "b.csv", [0.5, 0.5], delimiter=",")

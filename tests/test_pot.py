@@ -3,7 +3,10 @@ log-domain entropic loop and the dense-matrix transportation LP."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.spatial.distance import cdist
 
 from potpda import pot
 from potpda.pot import (
@@ -101,6 +104,34 @@ def reference_transport_lp(a, b, C):
     return np.clip(res.x, 0.0, None).reshape(m, n), duals[:m], duals[m:], res.nit
 
 
+def assert_certified(a, b, C, plan, row_duals, col_duals):
+    """The plan is feasible, the duals price every cell at a reduced cost of
+    at least -1e-9, and the two objectives agree: an optimum of the full LP.
+    Returns the plan's cost."""
+    assert plan.max_violation() <= pot.EXACT_FEAS_TOL
+    assert np.min(C - row_duals[:, None] - col_duals[None, :]) >= -1e-9
+    cost = plan.cost(C)
+    assert float(row_duals @ a + col_duals @ b) == pytest.approx(cost, rel=1e-12, abs=1e-15)
+    return cost
+
+
+def assert_matches_dense_cost(a, b, C):
+    """The shortlist LP returns a certified optimum of the dense oracle's cost."""
+    plan, row_duals, col_duals = _transport_lp(a, b, C)
+    cost = assert_certified(a, b, C, plan, row_duals, col_duals)
+    ref_plan, *_ = reference_transport_lp(a, b, C)
+    assert cost == pytest.approx(float(np.sum(C * ref_plan)), rel=1e-12, abs=1e-15)
+
+
+def dummy_extension(a, b, C, alpha):
+    """The balanced LP that exact_partial_ot hands _transport_lp, for C >= 0."""
+    m, n = C.shape
+    C_ext = np.zeros((m + 1, n + 1))
+    C_ext[:m, :n] = C
+    C_ext[m, n] = 2.0 * (m + n) * C.max() + 1.0
+    return np.append(a, b.sum() - alpha), np.append(b, a.sum() - alpha), C_ext
+
+
 def assert_matches_reference(a, b, C, alpha, cfg):
     expected, converged, n_iter = reference_entropic(a, b, C, alpha, cfg)
     plan = entropic_partial_ot(a, b, C, alpha, cfg)
@@ -168,6 +199,27 @@ class TestExactPartialOt:
                                          np.append(b, a.sum() - alpha), C_ext)
         assert plan.n_iter == nit > 0
 
+    def test_costs_below_zero_match_the_brute_force_oracle(self):
+        # a penalty scaled by the largest cost lets mass through the
+        # dummy-dummy cell once that cost is negative
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            a, b, C, alpha = random_tiny_instance(rng)
+            C = C - rng.choice([0.5, 1.0, 10.0]) * C.max() - rng.random()
+            plan, cost = exact_partial_ot(a, b, C, alpha)
+            _, oracle_cost = brute_force_partial_ot(a, b, C, alpha)
+            assert plan.max_violation() <= 1e-9
+            assert cost == pytest.approx(oracle_cost, abs=1e-8)
+
+    def test_shifting_costs_below_zero_keeps_the_plan(self):
+        # every feasible plan moves mass alpha, so a constant shift of the
+        # costs moves every plan's cost by alpha times the shift
+        a, b, C, alpha = random_geometry_instance(np.random.default_rng(31), m=9, n=11)
+        plan, cost = exact_partial_ot(a, b, C, alpha)
+        shifted_plan, shifted_cost = exact_partial_ot(a, b, C - C.max() - 1.0, alpha)
+        np.testing.assert_allclose(shifted_plan.matrix, plan.matrix, atol=1e-12)
+        assert shifted_cost == pytest.approx(cost - alpha * (C.max() + 1.0), abs=1e-12)
+
 
 def uniform_line_instance(rng, m, n):
     """Uniform masses on 1-D points under |x - y|, as random_bound_instance
@@ -177,12 +229,22 @@ def uniform_line_instance(rng, m, n):
     return np.full(m, 1.0 / m), np.full(n, 1.0 / n), np.abs(x[:, None] - y[None])
 
 
+def balanced_instance(rng, m, n, uniform_line):
+    if uniform_line:
+        return uniform_line_instance(rng, m, n)
+    C = rng.random((m, n))
+    a = rng.random(m) + 0.1
+    b = rng.random(n) + 0.1
+    b *= a.sum() / b.sum()
+    return a, b, C
+
+
 class TestTransportLp:
+    # with at most _SHORTLIST_K columns every cell is on the shortlist, so
+    # HiGHS sees the dense model
     @pytest.mark.parametrize("m, n, uniform_line", [
-        *(pytest.param(m, n, False, id=f"{m}-{n}")
-          for m, n in [(1, 1), (2, 3), (24, 24), (25, 24), (30, 31), (40, 45)]),
-        *(pytest.param(m, n, True, id=f"{m}-{n}-uniform-line")
-          for m, n in [(2, 3), (7, 5), (24, 24), (30, 17), (31, 31)])])
+        *(pytest.param(m, n, False, id=f"{m}-{n}") for m, n in [(1, 1), (2, 3)]),
+        *(pytest.param(m, n, True, id=f"{m}-{n}-uniform-line") for m, n in [(2, 3), (7, 5)])])
     def test_bit_identical_to_the_dense_matrix(self, m, n, uniform_line):
         rng = np.random.default_rng(m * 100 + n)
         if uniform_line:
@@ -198,6 +260,61 @@ class TestTransportLp:
         np.testing.assert_array_equal(row_duals, ref_rows)
         np.testing.assert_array_equal(col_duals, ref_cols)
         assert plan.n_iter == ref_nit
+
+    # HiGHS sees fewer columns than the dense model, and on degenerate
+    # instances may return another optimal vertex: the cost and the
+    # certificate are what must hold
+    @pytest.mark.parametrize("m, n, uniform_line", [
+        *(pytest.param(m, n, False, id=f"{m}-{n}")
+          for m, n in [(24, 24), (25, 24), (30, 31), (40, 45)]),
+        *(pytest.param(m, n, True, id=f"{m}-{n}-uniform-line")
+          for m, n in [(24, 24), (30, 17), (31, 31)])])
+    def test_certified_optimum_of_the_dense_matrix(self, m, n, uniform_line):
+        a, b, C = balanced_instance(np.random.default_rng(m * 100 + n), m, n, uniform_line)
+        assert_matches_dense_cost(a, b, C)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 60), n=st.integers(1, 60),
+           kind=st.sampled_from(["random", "uniform-line", "partial"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_plan_is_certified_at_the_dense_cost(self, m, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "partial":
+            # unequal caps, and the dummy row and column of exact_partial_ot
+            a, b, C, alpha = random_geometry_instance(rng, m=m, n=n, dim=3)
+            a, b, C = dummy_extension(a, b, C, alpha)
+        else:
+            a, b, C = balanced_instance(rng, m, n, kind == "uniform-line")
+        assert_matches_dense_cost(a, b, C)
+
+    def test_uncertified_shortlist_is_solved_again(self, monkeypatch):
+        # the n = 200 instance of the full-solve benchmark at seed 0, input
+        # set 1: its first shortlist misses a cell of negative reduced cost
+        rng = np.random.default_rng(int(np.random.SeedSequence([0, 1]).generate_state(1)[0]))
+        n = 200
+        x = rng.uniform(0.0, 4.0, size=(n, 4))
+        y = rng.uniform(0.0, 4.0, size=(n, 4))
+        a, b, C = np.full(n, 1.0 / (0.8 * n)), np.full(n, 1.0 / n), cdist(x, y)
+        solves, lps = [], []
+        run, transport_lp = pot._run, pot._transport_lp
+
+        def counting_run(solver, m):
+            solves.append(solver.getNumCol())
+            return run(solver, m)
+
+        def recording_transport_lp(*args):
+            result = transport_lp(*args)
+            lps.append((args, result))
+            return result
+
+        monkeypatch.setattr(pot, "_run", counting_run)
+        monkeypatch.setattr(pot, "_transport_lp", recording_transport_lp)
+        plan, cost = exact_partial_ot(a, b, C, 0.8)
+        assert len(solves) > 1 and solves[0] < solves[-1] < (n + 1) ** 2
+        [((a_ext, b_ext, C_ext), (full, row_duals, col_duals))] = lps
+        assert_certified(a_ext, b_ext, C_ext, full, row_duals, col_duals)
+        assert plan.n_iter == full.n_iter
+        assert cost == pytest.approx(full.cost(C_ext), rel=1e-12)
 
     def test_infeasible_marginals_raise_with_the_highs_status(self):
         with pytest.raises(RuntimeError, match="transportation LP failed: Infeasible"):
