@@ -341,7 +341,8 @@ def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> int:
     _write_histogram(hist_path, weight_histogram(normalized))
 
     payload = {"trace_path": str(trace_path), "params_path": str(params_path),
-               "histogram_path": str(hist_path), "final_objective": trace[-1]["objective"]}
+               "histogram_path": str(hist_path), "final_objective": trace[-1]["objective"],
+               "solver_nonconverged": sum(1 - row["solver_converged"] for row in trace)}
     if ds.target_y_hidden is not None:
         payload["target_accuracy"] = target_accuracy(params, ds)
     _emit(payload)

@@ -299,13 +299,6 @@ def _logsumexp(a: np.ndarray, axis: int | None = None):
     return np.squeeze(out, axis=axis)
 
 
-def _log_scaling_change(new: np.ndarray, prev: np.ndarray) -> float:
-    """Max-norm difference treating matching infinities (zero-cap rows) as zero."""
-    with np.errstate(invalid="ignore"):  # inf - inf, masked by the equality
-        diff = np.where(new == prev, 0.0, np.abs(new - prev))
-    return float(np.max(diff, initial=0.0))
-
-
 def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) -> TransportPlan:
     """Approximate plan via Dykstra-corrected multiplicative scaling of exp(-C/eps).
 
@@ -313,32 +306,42 @@ def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) 
     L0 = -C/eps - logsumexp(-C/eps) + log(alpha).  Each sweep undoes the
     previous cycle's scaling for a constraint block, then re-projects: rows
     are damped onto their caps, then columns, then the total mass is rescaled
-    to alpha.  One loop runs the sweeps and picks each sweep's form: two
-    matrix-vector products with the kernel K = exp(L0) and one dot product,
-    with the scalings kept in logs, until the kernel sums of a positive-cap
-    row, a positive-cap column or the total read below float range
-    (tiny/eps); from that sweep on, the same updates as log-sum-exps over L0.
-    Stops when successive scalings are stationary; non-convergence within
-    max_iter is flagged on the plan, not raised.  ``n_iter`` counts sweeps.
-    Raises ValueError when eps is so small that -C/eps overflows in every
-    cell that can carry mass.
+    to alpha.  A zero cap forces its row or column of the plan to zero, so
+    the sweeps run on the block of rows and columns with positive caps, where
+    every scaling is finite, and the block plan is scattered into a zero
+    matrix; when every cap is positive the block is L0 itself.  One loop runs
+    the sweeps and picks each sweep's form: two matrix-vector products with
+    the kernel K = exp(L0) and one dot product, with the scalings kept in
+    logs, until the kernel sums of a row, a column or the total read below
+    float range (tiny/eps); from that sweep on, the same updates as
+    log-sum-exps over L0.  Stops when successive scalings are stationary;
+    non-convergence within max_iter is flagged on the plan, not raised.
+    ``n_iter`` counts sweeps.  Raises ValueError when eps is so small that
+    -C/eps overflows in every cell that can carry mass.
     """
     cfg = cfg or SolverConfig()
     a, b, C, alpha = _check_inputs(a, b, C, alpha)
-    with np.errstate(divide="ignore"):
-        log_a = np.log(a)
-        log_b = np.log(b)
+    rows, cols = a > 0, b > 0
     log_alpha = np.log(alpha)
     with np.errstate(over="ignore"):  # overflowed cells carry no mass
         L0 = -C / cfg.eps
-    if not np.any(np.isfinite(L0[np.ix_(a > 0, b > 0)])):
+    # alpha > 0 leaves a positive cap on some row and some column, so an
+    # all-finite L0 has a finite cell that can carry mass
+    if not (np.isfinite(L0).all() or np.isfinite(L0[np.ix_(rows, cols)]).any()):
         raise ValueError(f"eps={cfg.eps} is too small for these costs: -C/eps "
                          "overflows in every cell with a positive row and column cap")
     L0 = L0 + (log_alpha - _logsumexp(L0))
 
-    log_u, log_v, log_s, n_iter, converged = _sweeps(L0, log_a, log_b, log_alpha, cfg)
-    log_plan = L0 + log_u[:, None] + log_v[None, :] + log_s
-    plan = TransportPlan(np.exp(log_plan), a, b, alpha, converged=converged, n_iter=n_iter)
+    every_cap_positive = rows.all() and cols.all()
+    block = L0 if every_cap_positive else L0[np.ix_(rows, cols)]
+    log_u, log_v, log_s, n_iter, converged = _sweeps(
+        block, np.log(a[rows]), np.log(b[cols]), log_alpha, cfg)
+    matrix = np.exp(block + log_u[:, None] + log_v[None, :] + log_s)
+    if not every_cap_positive:
+        full = np.zeros(C.shape)
+        full[np.ix_(rows, cols)] = matrix
+        matrix = full
+    plan = TransportPlan(matrix, a, b, alpha, converged=converged, n_iter=n_iter)
     if converged:
         plan.validate(ENTROPIC_FEAS_TOL)
     return plan
@@ -352,25 +355,24 @@ def _sweeps(L0, log_a, log_b, log_alpha, cfg: SolverConfig):
     """Log scalings of the rows, columns and total, the sweep count and
     whether successive scalings became stationary within max_iter.
 
-    Sweeps run in kernel form until the first one whose kernel sums leave
-    float range; that sweep is redone, and every later one run, in log form.
-    Zero-cap rows and columns keep a log scaling of -inf.
+    ``L0`` is the positive-cap block of the log kernel, so ``log_a`` and
+    ``log_b`` are finite and every scaling stays finite.  Sweeps run in
+    kernel form until the first one whose kernel sums leave float range;
+    that sweep is redone, and every later one run, in log form.
     """
     K = np.exp(L0)
-    rows, cols = log_a > -np.inf, log_b > -np.inf
-    log_u = np.where(rows, 0.0, -np.inf)
-    log_v = np.where(cols, 0.0, -np.inf)
+    log_u = np.zeros(L0.shape[0])
+    log_v = np.zeros(L0.shape[1])
     log_s = 0.0
     in_kernel = True
     for it in range(cfg.max_iter):
-        new = (_kernel_sweep(K, rows, cols, log_a, log_b, log_alpha, log_u, log_v, log_s)
+        new = (_kernel_sweep(K, log_a, log_b, log_alpha, log_u, log_v, log_s)
                if in_kernel else None)
         if new is None:
             in_kernel = False
             new = _log_sweep(L0, log_a, log_b, log_alpha, log_u, log_v, log_s)
         new_u, new_v, new_s = new
-        change = max(_log_scaling_change(new_u, log_u),
-                     _log_scaling_change(new_v, log_v),
+        change = max(np.max(np.abs(new_u - log_u)), np.max(np.abs(new_v - log_v)),
                      abs(new_s - log_s))
         log_u, log_v, log_s = new
         if change < cfg.tol:
@@ -378,20 +380,18 @@ def _sweeps(L0, log_a, log_b, log_alpha, cfg: SolverConfig):
     return log_u, log_v, log_s, cfg.max_iter, False
 
 
-def _kernel_sweep(K, rows, cols, log_a, log_b, log_alpha, log_u, log_v, log_s):
-    """One sweep as two matrix-vector products with K and one dot product;
-    None when a positive-cap row or column sum, or the total, falls below
-    _KERNEL_FLOOR."""
+def _kernel_sweep(K, log_a, log_b, log_alpha, log_u, log_v, log_s):
+    """One sweep as two matrix-vector products with the positive-cap block K
+    and one dot product; None when a row or column sum, or the total, falls
+    below _KERNEL_FLOOR."""
     row_sums = K @ np.exp(log_v)
-    if np.min(row_sums[rows], initial=np.inf) < _KERNEL_FLOOR:
+    if row_sums.min() < _KERNEL_FLOOR:
         return None
-    new_u = log_u.copy()
-    new_u[rows] = np.minimum(log_a[rows] - log_s - np.log(row_sums[rows]), 0.0)
+    new_u = np.minimum(log_a - log_s - np.log(row_sums), 0.0)
     col_sums = np.exp(new_u) @ K
-    if np.min(col_sums[cols], initial=np.inf) < _KERNEL_FLOOR:
+    if col_sums.min() < _KERNEL_FLOOR:
         return None
-    new_v = log_v.copy()
-    new_v[cols] = np.minimum(log_b[cols] - log_s - np.log(col_sums[cols]), 0.0)
+    new_v = np.minimum(log_b - log_s - np.log(col_sums), 0.0)
     total = float(col_sums @ np.exp(new_v))
     if total < _KERNEL_FLOOR:
         return None
@@ -399,9 +399,10 @@ def _kernel_sweep(K, rows, cols, log_a, log_b, log_alpha, log_u, log_v, log_s):
 
 
 def _log_sweep(L0, log_a, log_b, log_alpha, log_u, log_v, log_s):
-    """The same sweep as log-sum-exps over L0, for kernel sums that underflow."""
+    """The same sweep as log-sum-exps over L0, for kernel sums that underflow.
+
+    A row or column whose cells all overflowed has a log-sum-exp of -inf and
+    takes the scaling 0, the cap of the damping."""
     log_u = np.minimum(log_a - log_s - _logsumexp(L0 + log_v[None, :], axis=1), 0.0)
-    log_u = np.where(np.isnan(log_u), 0.0, log_u)
     log_v = np.minimum(log_b - log_s - _logsumexp(L0 + log_u[:, None], axis=0), 0.0)
-    log_v = np.where(np.isnan(log_v), 0.0, log_v)
     return log_u, log_v, log_alpha - _logsumexp(L0 + log_u[:, None] + log_v[None, :])

@@ -173,7 +173,7 @@ def _forward(params: ModelParams, bs_x, bs_y, bt_x, cfg: TrainConfig) -> _Forwar
     src_losses = -np.log(np.maximum(probs_s[np.arange(len(bs_y)), bs_y], 1e-300))
     dist = cdist_euclidean(feats_s, feats_t)
     # cross-entropy of each source one-hot label against each target prediction
-    ce = -np.log(np.maximum(probs_t[:, bs_y], 1e-300)).T
+    ce = -np.log(np.maximum(probs_t, 1e-300))[:, bs_y].T
     cost = cfg.eta1 * dist + cfg.eta2 * ce
     return _Forward(bs_x, bs_y, bt_x, feats_s, feats_t, probs_s, probs_t, dist, src_losses, cost)
 
@@ -213,12 +213,15 @@ def _gradients(params: ModelParams, fwd: _Forward, plan_matrix: np.ndarray,
         dfeats_s = dz_s @ params.W_g
         dfeats_t = dz_t @ params.W_g
 
-        # feature part of the alignment cost: subgradient 0 at coincident
-        # features, where the difference tensor gives an exact zero
-        diff = fwd.feats_s[:, None, :] - fwd.feats_t[None, :, :]
+        # feature part of the alignment cost: with s_ij = eta1 plan_ij / dist_ij,
+        # sum_j s_ij (fs_i - ft_j) and sum_i s_ij (fs_i - ft_j) as matrix
+        # products.  Coincident features take the subgradient 0: their s is
+        # zeroed, since the products would leave a rounding residue of two
+        # cancelling terms of size eta1 plan_ij / 1e-12 there
         scale = cfg.eta1 * plan_matrix / np.maximum(fwd.dist, 1e-12)
-        dfeats_s += np.einsum("ij,ijk->ik", scale, diff)
-        dfeats_t -= np.einsum("ij,ijk->jk", scale, diff)
+        scale[fwd.dist == 0] = 0.0
+        dfeats_s += scale.sum(axis=1)[:, None] * fwd.feats_s - scale @ fwd.feats_t
+        dfeats_t -= scale.T @ fwd.feats_s - scale.sum(axis=0)[:, None] * fwd.feats_t
 
         dW_f = dfeats_s.T @ fwd.bs_x + dfeats_t.T @ fwd.bt_x
     grads = {"W_f": dW_f, "W_g": dW_g, "bias": dbias}
@@ -268,14 +271,13 @@ def warmpot_step(params: ModelParams, bs_x, bs_y, bt_x, alpha: float, cfg: Train
     weights = p_hat.values if source_weights is None else np.asarray(source_weights, dtype=float)
     value = _value(fwd, plan.matrix, weights)
     grads = _gradients(params, fwd, plan.matrix, weights, cfg)
-    new = params.copy()
-    new.W_f -= cfg.lr * grads["W_f"]
-    new.W_g -= cfg.lr * grads["W_g"]
-    new.bias -= cfg.lr * grads["bias"]
+    new = ModelParams(params.W_f - cfg.lr * grads["W_f"], params.W_g - cfg.lr * grads["W_g"],
+                      params.bias - cfg.lr * grads["bias"])
     info = {
         "objective": value,
         "plan_mass": float(plan.matrix.sum()),
         "solver_converged": plan.converged,
+        "solver_iters": plan.n_iter,
         "alpha": plan.mass,
         "p_hat": p_hat.values,
     }
@@ -356,6 +358,7 @@ def train(ds: PdaDataset, cfg: TrainConfig):
                     "objective": info["objective"],
                     "plan_mass": info["plan_mass"],
                     "solver_converged": int(info["solver_converged"]),
+                    "solver_iters": info["solver_iters"],
                 }
                 if outlier_mask is not None:
                     p = info["p_hat"]

@@ -2,7 +2,8 @@
 
 ``brute_force_partial_ot`` enumerates the vertices of the feasibility polytope
 of tiny instances; ``pw_distance`` is the transport value of either production
-solver's plan.
+solver's plan; ``log_scaling_change`` is the stopping measure of a log-domain
+loop whose zero caps keep a log scaling of -inf.
 """
 
 from itertools import combinations
@@ -18,6 +19,13 @@ from potpda.pot import (
 )
 
 BRUTE_FORCE_MAX_VARS = 6
+
+
+def log_scaling_change(new: np.ndarray, prev: np.ndarray) -> float:
+    """Max-norm difference treating matching infinities (zero-cap rows) as zero."""
+    with np.errstate(invalid="ignore"):  # inf - inf, masked by the equality
+        diff = np.where(new == prev, 0.0, np.abs(new - prev))
+    return float(np.max(diff, initial=0.0))
 
 
 def brute_force_partial_ot(a, b, C, alpha: float):

@@ -1,6 +1,7 @@
 """Command-line surface: config merging, echo round-trip, exit codes, outputs."""
 
 import copy
+import csv
 import json
 
 import numpy as np
@@ -531,6 +532,27 @@ class TestTrainCommand:
         assert (out / "weights_hist.csv").exists()
         assert (out / "config_echo.txt").exists()
         assert 0.0 <= payload["target_accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("max_iter", [300, 1])
+    def test_trace_records_sweeps_and_output_counts_nonconverged_plans(
+            self, tiny_task, tmp_path, capsys, max_iter):
+        # a one-sweep cap stops every plan whose caps bind before its
+        # scalings are stationary
+        out = tmp_path / "run"
+        code, payload = run_cli(capsys, ["train", "--data", str(tiny_task), "--out", str(out)]
+                                + FAST_FLAGS + ["--solver-max-iter", str(max_iter)])
+        assert code == 0
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        converged = [int(r["solver_converged"]) for r in rows]
+        iters = [int(r["solver_iters"]) for r in rows]
+        assert payload["solver_nonconverged"] == converged.count(0)
+        assert all(1 <= n <= max_iter for n in iters)
+        assert all(n == max_iter for n, c in zip(iters, converged) if not c)
+        if max_iter == 1:
+            assert payload["solver_nonconverged"] > 0
+        else:
+            assert payload["solver_nonconverged"] == 0 and max(iters) > 1
 
     def test_deterministic_trace_bytes(self, tiny_task, tmp_path, capsys):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

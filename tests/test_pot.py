@@ -16,7 +16,7 @@ from potpda.pot import (
     entropic_partial_ot,
     exact_partial_ot,
 )
-from pot_oracles import brute_force_partial_ot, pw_distance
+from pot_oracles import brute_force_partial_ot, log_scaling_change, pw_distance
 
 # Oracle-confirmed instance: optimum fills the zero-cost cell to its row cap
 # and routes the remainder through the cheapest remaining cell.
@@ -56,6 +56,17 @@ def random_geometry_instance(rng, m=5, n=7, dim=5):
     return a, b, C, alpha
 
 
+def trainer_batch_instance(rng, m=64, n=64, dim=8, n_classes=5, beta=0.35):
+    """A training step's plan problem: uniform caps, a feature-distance plus
+    label cross-entropy cost and an alpha on the trainer's ramp."""
+    x = rng.normal(size=(m, dim))
+    y = rng.normal(size=(n, dim))
+    probs_t = rng.dirichlet(np.ones(n_classes), size=n)
+    labels = rng.integers(0, n_classes, m)
+    C = 0.125 * np.linalg.norm(x[:, None] - y[None], axis=2) - 1.75 * np.log(probs_t[:, labels].T)
+    return np.full(m, 1.0 / (beta * m)), np.full(n, 1.0 / n), C, rng.uniform(0.01, 0.8)
+
+
 def reference_entropic(a, b, C, alpha, cfg):
     """Log-domain Dykstra loop, three full-matrix log-sum-exps per sweep: the
     oracle for the kernel-domain sweeps.
@@ -81,8 +92,8 @@ def reference_entropic(a, b, C, alpha, cfg):
         log_v = np.where(np.isnan(log_v), 0.0, log_v)
         shifted = L0 + log_u[:, None] + log_v[None, :]
         log_s = log_alpha - pot._logsumexp(shifted)
-        change = max(pot._log_scaling_change(log_u, u_prev),
-                     pot._log_scaling_change(log_v, v_prev),
+        change = max(log_scaling_change(log_u, u_prev),
+                     log_scaling_change(log_v, v_prev),
                      abs(log_s - s_prev))
         if change < cfg.tol:
             return np.exp(shifted + log_s), True, sweep
@@ -459,6 +470,36 @@ class TestEntropicAgainstLogDomainLoop:
             plan = assert_matches_reference(a, b, C, alpha, SolverConfig(eps=0.1 * C.max()))
             assert plan.converged
             assert np.all(plan.matrix[a == 0] == 0) and np.all(plan.matrix[:, b == 0] == 0)
+
+    @pytest.mark.parametrize("eps", [2.0, 0.05])
+    def test_trainer_sized_batches_with_positive_caps(self, eps):
+        # the 64 x 64 solves a training step runs: uniform caps 1/(beta m)
+        # and 1/n, and an alpha on the ramp
+        rng = np.random.default_rng(44)
+        for _ in range(5):
+            a, b, C, alpha = trainer_batch_instance(rng)
+            assert_matches_reference(a, b, C, alpha, SolverConfig(eps=eps))
+
+    def test_zero_caps_with_an_underflowing_row(self, monkeypatch):
+        # the positive-cap block hands off to the log form at once, since one
+        # of its rows sits 900 eps above the rest, and its plan is scattered
+        # back between the zero-cap rows and columns
+        rng = np.random.default_rng(45)
+        a, b, C, _ = trainer_batch_instance(rng)
+        a[[3, 17, 40]] = 0.0
+        b[[0, 9, 63]] = 0.0
+        C[5] += 900.0
+        shapes = []
+        log_sweep = pot._log_sweep
+
+        def recording_log_sweep(*args):
+            shapes.append(args[0].shape)
+            return log_sweep(*args)
+
+        monkeypatch.setattr(pot, "_log_sweep", recording_log_sweep)
+        plan = assert_matches_reference(a, b, C, 0.5, SolverConfig(eps=1.0))
+        assert plan.converged and shapes == [(61, 61)] * plan.n_iter
+        assert np.all(plan.matrix[a == 0] == 0) and np.all(plan.matrix[:, b == 0] == 0)
 
     @pytest.mark.parametrize("offset, b, handoff_sweep", [(900.0, [0.4, 0.6], 0),
                                                           (672.0, [0.3, 0.7], 3)])

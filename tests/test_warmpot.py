@@ -10,6 +10,9 @@ from potpda.synthbench import TaskSpec, generate_pda_task
 from potpda.warmpot import (
     ModelParams,
     TrainConfig,
+    _forward,
+    _gradients,
+    _solve,
     alpha_schedule,
     fixed_plan_gradients,
     fixed_plan_value,
@@ -30,6 +33,22 @@ def small_batch(rng, n_s=5, n_t=6, d=3, n_classes=4):
 
 
 FAST = dict(solver_tol=1e-9, solver_max_iter=3000)
+
+
+def difference_tensor_gradients(params, fwd, plan_matrix, source_weights, cfg):
+    """Oracle for the trainer's gradients: the feature part contracts the
+    (m, n, k) difference tensor fs_i - ft_j, which is exactly zero at
+    coincident features."""
+    onehot = np.eye(params.W_g.shape[0])[fwd.bs_y]
+    dz_s = source_weights[:, None] * (fwd.probs_s - onehot)
+    dz_t = cfg.eta2 * (plan_matrix.sum(axis=0)[:, None] * fwd.probs_t - plan_matrix.T @ onehot)
+    diff = fwd.feats_s[:, None, :] - fwd.feats_t[None, :, :]
+    scale = cfg.eta1 * plan_matrix / np.maximum(fwd.dist, 1e-12)
+    dfeats_s = dz_s @ params.W_g + np.einsum("ij,ijk->ik", scale, diff)
+    dfeats_t = dz_t @ params.W_g - np.einsum("ij,ijk->jk", scale, diff)
+    return {"W_f": dfeats_s.T @ fwd.bs_x + dfeats_t.T @ fwd.bt_x,
+            "W_g": dz_s.T @ fwd.feats_s + dz_t.T @ fwd.feats_t,
+            "bias": dz_s.sum(axis=0) + dz_t.sum(axis=0)}
 
 
 class TestAlphaSchedule:
@@ -133,6 +152,26 @@ class TestGradients:
                     ) / (2 * h)
                 rel = np.abs(grads[name] - numeric).max() / max(np.abs(numeric).max(), 1e-12)
                 assert rel <= 1e-4, f"{name}: rel error {rel:.2e}"
+
+    @pytest.mark.parametrize("coincident", [False, True])
+    def test_matches_the_difference_tensor_oracle(self, coincident):
+        # a training batch, once against distinct targets and once against
+        # itself, where every diagonal pair of features coincides
+        ds = generate_pda_task(TaskSpec(n_s=200, n_t=150, seed=12))
+        rng = np.random.default_rng(12)
+        cfg = TrainConfig(batch_size=64, eps=2.0, **FAST)
+        params = ModelParams.init(ds.dim, ds.dim, int(ds.source_y.max()) + 1, rng)
+        params.W_g = rng.normal(scale=0.5, size=params.W_g.shape)
+        si = rng.choice(ds.n_s, 64, replace=False)
+        bs_x, bs_y = ds.source_x[si], ds.source_y[si]
+        bt_x = bs_x if coincident else ds.target_x[rng.choice(ds.n_t, 64, replace=False)]
+        fwd = _forward(params, bs_x, bs_y, bt_x, cfg)
+        assert np.any(fwd.dist == 0) == coincident
+        plan, p_hat = _solve(fwd, 0.8, cfg)
+        grads = _gradients(params, fwd, plan.matrix, p_hat.values, cfg)
+        expected = difference_tensor_gradients(params, fwd, plan.matrix, p_hat.values, cfg)
+        for name in ("W_f", "W_g", "bias"):
+            np.testing.assert_allclose(grads[name], expected[name], rtol=0, atol=1e-12)
 
     def test_pure_weighted_cross_entropy_when_alignment_off(self):
         rng = np.random.default_rng(5)
