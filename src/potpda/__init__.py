@@ -41,11 +41,10 @@ from .pot import (
 from .synthbench import (
     BenchResult,
     TaskSpec,
-    compare_schemes,
     final_source_weights,
     generate_pda_task,
     outlier_weight_share,
-    sensitivity_sweep,
+    run_ablation,
     target_accuracy,
 )
 from .warmpot import (

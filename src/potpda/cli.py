@@ -17,11 +17,11 @@ from .bounds import bound_check
 from .measures import feature_cost_matrix, load_dataset, save_dataset
 from .pot import entropic_partial_ot, exact_partial_ot
 from .synthbench import (
+    BenchResult,
     TaskSpec,
-    compare_schemes,
     final_source_weights,
     generate_pda_task,
-    sensitivity_sweep,
+    run_ablation,
     target_accuracy,
 )
 from .warmpot import SCHEMES, ModelParams, TrainConfig, class_labels, train
@@ -349,6 +349,22 @@ def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+# the columns of one ablation row in results.csv and sweep.csv
+_ROW_HEADER = ["acc_mean", "acc_std", "outlier_share", "accuracies", "failures",
+               "solver_nonconverged"]
+
+
+def _row_cells(r: BenchResult) -> list:
+    return [r.acc_mean, r.acc_std, r.outlier_share, ";".join(repr(a) for a in r.accuracies),
+            ";".join(r.failures), r.solver_nonconverged]
+
+
+def _row_stats(r: BenchResult) -> dict:
+    return {"acc_mean": _or_null(r.acc_mean), "acc_std": _or_null(r.acc_std),
+            "outlier_share": _or_null(r.outlier_share),
+            "solver_nonconverged": r.solver_nonconverged}
+
+
 def _cmd_bench(args, cfg: RunConfig, out_dir: Path) -> int:
     _check_count("seeds", args.seeds, 1)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
@@ -357,22 +373,15 @@ def _cmd_bench(args, cfg: RunConfig, out_dir: Path) -> int:
     for s in schemes:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme: {s}")
-    results = compare_schemes(cfg.task, cfg.train, schemes, args.seeds)
+    variants = [(s, replace(cfg.train, weight_scheme=s)) for s in schemes]
+    results = run_ablation(cfg.task, variants, range(args.seeds))
 
     results_path = out_dir / "results.csv"
-    rows = []
-    for r in results:
-        rows.append([r.scheme, r.acc_mean, r.acc_std, r.outlier_share,
-                     ";".join(repr(a) for a in r.accuracies),
-                     ";".join(r.failures)])
-    _write_csv(results_path, ["scheme", "acc_mean", "acc_std", "outlier_share",
-                              "accuracies", "failures"], rows)
+    _write_csv(results_path, ["scheme"] + _ROW_HEADER, [[r.label] + _row_cells(r) for r in results])
     hist_path = out_dir / "weights_hist.csv"
     _write_histogram(hist_path, results[0].histogram)
     _emit({"results_path": str(results_path), "histogram_path": str(hist_path),
-           "schemes": {r.scheme: {"acc_mean": _or_null(r.acc_mean), "acc_std": _or_null(r.acc_std),
-                                  "outlier_share": _or_null(r.outlier_share)}
-                       for r in results}})
+           "schemes": {r.label: _row_stats(r) for r in results}})
     return 0
 
 
@@ -380,16 +389,17 @@ def _cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
     _check_count("seeds", args.seeds, 0)
     try:
         grid = [float(v) for v in args.grid.split(",") if v.strip()]
-        for value in grid:
-            replace(cfg.train, **{args.param: value})
+        variants = [(repr(v), replace(cfg.train, **{args.param: v})) for v in grid]
     except ValueError as exc:
         raise ConfigError(f"bad --grid {args.grid!r}: {exc}") from exc
-    seeds = list(range(args.seeds)) if args.seeds else None
-    rows = sensitivity_sweep(cfg.task, cfg.train, args.param, grid, seeds)
+    seeds = range(args.seeds) if args.seeds else [cfg.train.seed]
+    results = run_ablation(cfg.task, variants, seeds)
     sweep_path = out_dir / "sweep.csv"
-    _write_csv(sweep_path, ["param", "value", "acc_mean", "acc_std"],
-               [[r["param"], r["value"], r["acc_mean"], r["acc_std"]] for r in rows])
-    _emit({"sweep_path": str(sweep_path), "rows": rows})
+    _write_csv(sweep_path, ["param", "value"] + _ROW_HEADER,
+               [[args.param, v] + _row_cells(r) for v, r in zip(grid, results)])
+    _emit({"sweep_path": str(sweep_path),
+           "rows": [{"param": args.param, "value": v, **_row_stats(r)}
+                    for v, r in zip(grid, results)]})
     return 0
 
 
@@ -419,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="potpda_out", help="output directory")
     for key in CONFIG_KEYS:
         common.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", default=None)
-    common.add_argument("--max-iter", dest="cfg_solver_max_iter")
 
     parser = argparse.ArgumentParser(prog="potpda",
                                      description="Partial-transport toolkit for partial domain adaptation")
@@ -446,12 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
 
     p = sub.add_parser("bench", parents=[common], help="compare weighting schemes on a synthetic task")
-    p.add_argument("--spec", help="task spec key = value file")
     p.add_argument("--schemes", default="warmpot,uniform")
     p.add_argument("--seeds", type=int, default=6)
 
     p = sub.add_parser("sweep", parents=[common], help="sensitivity sweep over an alignment knob")
-    p.add_argument("--spec", help="task spec key = value file")
     p.add_argument("--param", choices=("alpha_max", "beta"), required=True)
     p.add_argument("--grid", required=True, help="comma-separated values in (0, 1]")
     p.add_argument("--seeds", type=int, default=0)
@@ -462,13 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(args: argparse.Namespace) -> int:
     flags = {key: getattr(args, f"cfg_{key}", None) for key in CONFIG_KEYS}
-    config_file = getattr(args, "config", None)
-    spec_file = getattr(args, "spec", None)
-    if spec_file:
-        if config_file:
-            raise ConfigError("pass either --config or --spec, not both")
-        config_file = spec_file
-    cfg = parse_config(config_file, flags, preset=args.preset)
+    cfg = parse_config(args.config, flags, preset=args.preset)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,8 +19,7 @@ __all__ = [
     "outlier_weight_share",
     "target_accuracy",
     "final_source_weights",
-    "compare_schemes",
-    "sensitivity_sweep",
+    "run_ablation",
 ]
 
 
@@ -54,9 +53,9 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class BenchResult:
-    """One ablation row: accuracy statistics and weight diagnostics per scheme."""
+    """One ablation row: accuracy statistics and weight diagnostics per variant."""
 
-    scheme: str
+    label: str
     accuracies: tuple
     acc_mean: float
     acc_std: float
@@ -64,6 +63,7 @@ class BenchResult:
     outlier_shares: tuple
     histogram: np.ndarray
     failures: tuple = ()
+    solver_nonconverged: int | None = None
 
 
 def _draw_centers(spec: TaskSpec, rng: np.random.Generator) -> np.ndarray:
@@ -117,37 +117,36 @@ def final_source_weights(params: ModelParams, ds: PdaDataset, cfg: TrainConfig):
     return p_hat, np.clip(p_hat.values * cfg.beta * ds.n_s, 0.0, 1.0)
 
 
-def _seed_list(seeds) -> list[int]:
-    if isinstance(seeds, int):
-        return list(range(seeds))
-    return list(seeds)
+def run_ablation(spec: TaskSpec, variants: Sequence[tuple[str, TrainConfig]],
+                 seeds: Sequence[int]) -> list[BenchResult]:
+    """Train one model per (variant, seed) pair; one row per variant, in order.
 
-
-def compare_schemes(spec: TaskSpec, cfg: TrainConfig, schemes: Sequence[str],
-                    seeds) -> list[BenchResult]:
-    """Train one model per (scheme, seed) pair; data and batches are paired
-    across schemes through the shared seed.  Failures leave markers instead of
-    aborting the table."""
-    seed_values = _seed_list(seeds)
+    A variant is a label and the TrainConfig it trains with.  Each seed seeds
+    both the task and the training run, so data and batches are paired across
+    variants.  A seed that fails leaves a marker naming the exception type
+    instead of aborting the table; statistics over no finished seed are NaN,
+    and `solver_nonconverged` (steps whose plan hit the sweep cap, summed over
+    the seeds whose training finished) is then None."""
     results = []
-    for scheme in schemes:
+    for label, cfg in variants:
         accs, shares, failures = [], [], []
-        histogram = None
-        for seed in seed_values:
+        histogram = nonconverged = None
+        for seed in seeds:
             ds = generate_pda_task(replace(spec, seed=seed))
-            run_cfg = replace(cfg, seed=seed, weight_scheme=scheme)
+            run_cfg = replace(cfg, seed=seed)
             try:
-                params, _ = train(ds, run_cfg)
+                params, trace = train(ds, run_cfg)
+                nonconverged = (nonconverged or 0) + sum(1 - r["solver_converged"] for r in trace)
                 accs.append(target_accuracy(params, ds))
                 weights, normalized = final_source_weights(params, ds, run_cfg)
                 shares.append(outlier_weight_share(weights, ds.source_y, spec.shared))
                 if histogram is None:
                     histogram = weight_histogram(normalized)
             except Exception as exc:  # noqa: BLE001 - failure markers, not crashes
-                failures.append(f"seed {seed}: {exc}")
+                failures.append(f"seed {seed}: {type(exc).__name__}: {exc}")
         acc_arr = np.asarray(accs, dtype=float)
         results.append(BenchResult(
-            scheme=scheme,
+            label=label,
             accuracies=tuple(accs),
             acc_mean=float(acc_arr.mean()) if accs else float("nan"),
             acc_std=float(acc_arr.std()) if accs else float("nan"),
@@ -155,25 +154,6 @@ def compare_schemes(spec: TaskSpec, cfg: TrainConfig, schemes: Sequence[str],
             outlier_shares=tuple(shares),
             histogram=histogram if histogram is not None else weight_histogram([]),
             failures=tuple(failures),
+            solver_nonconverged=nonconverged,
         ))
     return results
-
-
-def sensitivity_sweep(spec: TaskSpec, cfg: TrainConfig, param: str, grid,
-                      seeds=None) -> list[dict]:
-    """Accuracy as one alignment knob moves across its grid, all else fixed."""
-    if param not in ("alpha_max", "beta"):
-        raise ValueError("sweep parameter must be alpha_max or beta")
-    seed_values = _seed_list(seeds) if seeds is not None else [cfg.seed]
-    rows = []
-    for value in grid:
-        value_cfg = replace(cfg, **{param: float(value)})  # TrainConfig checks the range
-        accs = []
-        for seed in seed_values:
-            ds = generate_pda_task(replace(spec, seed=seed))
-            params, _ = train(ds, replace(value_cfg, seed=seed))
-            accs.append(target_accuracy(params, ds))
-        arr = np.asarray(accs, dtype=float)
-        rows.append({"param": param, "value": float(value),
-                     "acc_mean": float(arr.mean()), "acc_std": float(arr.std())})
-    return rows

@@ -5,6 +5,7 @@ to see them inline.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -13,7 +14,7 @@ from potpda.bounds import bound_check, pac_bayes_experiment
 from potpda.cli import main as cli_main
 from potpda.measures import save_dataset
 from potpda.pot import SolverConfig, entropic_partial_ot, exact_partial_ot
-from potpda.synthbench import TaskSpec, compare_schemes, generate_pda_task
+from potpda.synthbench import TaskSpec, generate_pda_task, run_ablation
 from potpda.warmpot import TrainConfig, fixed_plan_gradients, fixed_plan_value, warmpot_objective
 from potpda.weights import _w1_to_uniform_target, gamma_constrained_weights, marginal_weights
 from pot_oracles import brute_force_partial_ot, pw_distance
@@ -231,8 +232,9 @@ def test_criterion_10_directional_ablation():
     spec = TaskSpec()  # K=5, shared=3, separation = 4 * noise
     cfg = TrainConfig(total_iters=600, ramp_iters=300, batch_size=64, lr=0.03,
                       eps=2.0, solver_tol=1e-7, solver_max_iter=700)
+    variants = [(s, replace(cfg, weight_scheme=s)) for s in ("warmpot", "uniform")]
     start = time.monotonic()
-    warm, unif = compare_schemes(spec, cfg, ["warmpot", "uniform"], 10)
+    warm, unif = run_ablation(spec, variants, range(10))
     elapsed = time.monotonic() - start
     outlier_sample_share = (spec.K - spec.shared) / spec.K
     suppressed = sum(s < outlier_sample_share for s in warm.outlier_shares)

@@ -3,6 +3,9 @@
 import copy
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from potpda.cli import CONFIG_KEYS, ConfigError, main, parse_config
+from potpda import synthbench
+from potpda.cli import CONFIG_KEYS, ConfigError, build_parser, main, parse_config
 from potpda.measures import PdaDataset, load_dataset, save_dataset
 from potpda.pot import exact_partial_ot
 from potpda.synthbench import TaskSpec, generate_pda_task
@@ -34,6 +38,9 @@ def tiny_task(tmp_path):
 # parameters that fit tiny_task's 2-d inputs and 3 source classes
 TINY_PARAMS = {"W_f": [[1.0, 0.0], [0.0, 1.0]], "W_g": [[0.5, -0.5], [-0.5, 0.5], [0.0, 0.1]],
                "bias": [0.0, 0.1, -0.1]}
+
+TINY_TASK_FLAGS = ["--task-n-s", "24", "--task-n-t", "16", "--task-K", "3",
+                   "--task-shared", "2", "--task-d", "2"]
 
 FAST_FLAGS = ["--total-iters", "15", "--ramp-iters", "5", "--batch-size", "8",
               "--lr", "0.03", "--eps", "2.0", "--solver-tol", "1e-6",
@@ -220,15 +227,6 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1 and "--out" in captured.err
-
-    def test_config_and_spec_together_exit_two(self, tmp_path, capsys):
-        for name in ("A", "B"):
-            (tmp_path / name).write_text("")
-        code = main(["bench", "--config", str(tmp_path / "A"), "--spec", str(tmp_path / "B"),
-                     "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert len(err.strip().splitlines()) == 1 and "--spec" in err
 
     @pytest.mark.parametrize("command", [["train"], ["weights", "--scheme", "warmpot"],
                                          ["weights", "--scheme", "arpm"]])
@@ -662,14 +660,14 @@ class TestMakeTask:
         ds = load_dataset(payload["task_path"])
         assert ds.n_s == 12 and ds.n_t == 8
 
-    def test_max_iter_alias(self, tmp_path, capsys):
+    def test_solver_max_iter_flag(self, tmp_path, capsys):
         np.savetxt(tmp_path / "a.csv", [1.0], delimiter=",")
         np.savetxt(tmp_path / "b.csv", [1.0], delimiter=",")
         np.savetxt(tmp_path / "C.csv", [[2.0]], delimiter=",")
         code, payload = run_cli(capsys, [
             "solve", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
             "--cost", str(tmp_path / "C.csv"), "--alpha", "0.5", "--method", "entropic",
-            "--max-iter", "50", "--out", str(tmp_path / "out")])
+            "--solver-max-iter", "50", "--out", str(tmp_path / "out")])
         assert code == 0
         assert "solver_max_iter = 50" in (tmp_path / "out" / "config_echo.txt").read_text()
 
@@ -704,7 +702,8 @@ class TestBenchAndSweep:
         payload = json.loads(out, parse_constant=reject)
         assert code == 0
         assert payload["schemes"]["uniform"] == {"acc_mean": None, "acc_std": None,
-                                                 "outlier_share": None}
+                                                 "outlier_share": None,
+                                                 "solver_nonconverged": None}
 
     def test_sweep_rows_match_grid(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -715,3 +714,95 @@ class TestBenchAndSweep:
         assert code == 0
         assert [r["value"] for r in payload["rows"]] == [0.4, 0.8]
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+    def test_bench_counts_the_nonconverged_steps_of_its_training_runs(self, tmp_path, capsys):
+        flags = TINY_TASK_FLAGS + FAST_FLAGS + ["--solver-max-iter", "1"]
+        expected = 0
+        for seed in ("0", "1"):
+            task = tmp_path / f"task{seed}"
+            code, _ = run_cli(capsys, ["make-task", "--seed", seed, "--out", str(task)]
+                              + TINY_TASK_FLAGS)
+            assert code == 0
+            code, payload = run_cli(capsys, ["train", "--data", str(task / "task.csv"),
+                                             "--seed", seed, "--out", str(tmp_path / "run")] + flags)
+            assert code == 0
+            expected += payload["solver_nonconverged"]
+        code, payload = run_cli(capsys, ["bench", "--schemes", "warmpot", "--seeds", "2",
+                                         "--out", str(tmp_path / "bench")] + flags)
+        assert code == 0
+        assert payload["schemes"]["warmpot"]["solver_nonconverged"] == expected > 0
+        with open(tmp_path / "bench" / "results.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["solver_nonconverged"] == str(expected)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_whose_seed_diverges_prints_null_and_marks_it(self, tmp_path, capsys):
+        # the diverging flags of test_bench_prints_null_for_a_scheme_whose_seeds_all_fail
+        code = main(["sweep", "--param", "beta", "--grid", "0.5",
+                     "--task-K", "4", "--task-shared", "2", "--task-d", "2",
+                     "--task-n-s", "40", "--task-n-t", "24", "--total-iters", "20",
+                     "--ramp-iters", "10", "--batch-size", "16", "--eps", "2.0", "--lr", "1e300",
+                     "--out", str(tmp_path / "sweep")])
+        out = capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert code == 0
+        assert payload["rows"] == [{"param": "beta", "value": 0.5, "acc_mean": None,
+                                    "acc_std": None, "outlier_share": None,
+                                    "solver_nonconverged": None}]
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["failures"].startswith("seed 0: FloatingPointError: training diverged at ")
+
+    def test_sweep_point_matches_bench_at_that_value(self, tmp_path, capsys):
+        flags = TINY_TASK_FLAGS + FAST_FLAGS + ["--seeds", "2"]
+        code, swept = run_cli(capsys, ["sweep", "--param", "beta", "--grid", "0.5",
+                                       "--out", str(tmp_path / "sweep")] + flags)
+        assert code == 0
+        code, benched = run_cli(capsys, ["bench", "--schemes", "warmpot", "--beta", "0.5",
+                                         "--out", str(tmp_path / "bench")] + flags)
+        assert code == 0
+        (row,) = swept["rows"]
+        assert {k: v for k, v in row.items() if k not in ("param", "value")} == \
+            benched["schemes"]["warmpot"]
+
+    def test_out_of_range_grid_value_rejected_before_any_training(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        calls = []
+        monkeypatch.setattr(synthbench, "train", lambda *args: calls.append(args))
+        code = main(["sweep", "--param", "beta", "--grid", "0.5,1.5",
+                     "--out", str(tmp_path / "sweep")] + FAST_FLAGS)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "--grid" in captured.err
+        assert calls == []
+
+    def test_sweep_parameter_outside_its_choices_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--param", "lr", "--grid", "0.5"])
+        assert exc.value.code == 2
+
+
+def readme_commands() -> list:
+    """Every `potpda ...` command in the README's bash blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["potpda"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_lists_its_commands():
+    assert len(readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    args = build_parser().parse_args(argv)
+    flags = {key: getattr(args, f"cfg_{key}") for key in CONFIG_KEYS}
+    parse_config(args.config, flags, preset=args.preset)

@@ -1,16 +1,17 @@
 """Synthetic task generation and the scheme-comparison harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from potpda.pot import ENTROPIC_FEAS_TOL
 from potpda.synthbench import (
     TaskSpec,
-    compare_schemes,
     final_source_weights,
     generate_pda_task,
     outlier_weight_share,
-    sensitivity_sweep,
+    run_ablation,
 )
 from potpda.warmpot import TrainConfig, train
 from potpda.weights import WeightVector
@@ -106,47 +107,41 @@ class TestFinalSourceWeights:
         assert first[1].tobytes() == second[1].tobytes()
 
 
-class TestCompareSchemes:
-    def test_single_scheme_single_seed(self):
-        rows = compare_schemes(SMALL_SPEC, SMALL_CFG, ["uniform"], [0])
+def schemes(cfg, *names):
+    return [(name, replace(cfg, weight_scheme=name)) for name in names]
+
+
+class TestRunAblation:
+    def test_single_variant_single_seed(self):
+        rows = run_ablation(SMALL_SPEC, schemes(SMALL_CFG, "uniform"), [0])
         assert len(rows) == 1
+        assert rows[0].label == "uniform"
         assert rows[0].acc_std == 0.0
         assert len(rows[0].accuracies) == 1
         assert rows[0].histogram.sum() == SMALL_SPEC.n_s
 
-    def test_identical_scheme_twice_identical_columns(self):
-        rows = compare_schemes(SMALL_SPEC, SMALL_CFG, ["warmpot", "warmpot"], [0, 1])
+    def test_identical_variant_twice_identical_rows(self):
+        rows = run_ablation(SMALL_SPEC, schemes(SMALL_CFG, "warmpot", "warmpot"), [0, 1])
         assert rows[0].accuracies == rows[1].accuracies
         assert rows[0].outlier_share == rows[1].outlier_share
+        assert rows[0].solver_nonconverged == rows[1].solver_nonconverged
 
     def test_six_seeds_record_six_accuracies(self):
-        rows = compare_schemes(SMALL_SPEC, SMALL_CFG, ["uniform"], 6)
+        rows = run_ablation(SMALL_SPEC, schemes(SMALL_CFG, "uniform"), range(6))
         assert len(rows[0].accuracies) == 6
+
+    def test_one_row_per_variant_in_order(self):
+        variants = [(f"beta={b}", replace(SMALL_CFG, beta=b)) for b in (0.3, 0.6, 0.9)]
+        rows = run_ablation(SMALL_SPEC, variants, [0])
+        assert [r.label for r in rows] == ["beta=0.3", "beta=0.6", "beta=0.9"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failures_marked_not_raised(self):
         # a learning rate this large overflows the weights within a few steps
         bad_cfg = TrainConfig(total_iters=20, ramp_iters=10, batch_size=16,
                               eps=2.0, lr=1e300)
-        rows = compare_schemes(SMALL_SPEC, bad_cfg, ["uniform"], [0])
-        assert rows[0].failures
+        rows = run_ablation(SMALL_SPEC, schemes(bad_cfg, "uniform"), [0])
+        assert rows[0].failures == (rows[0].failures[0],)
+        assert rows[0].failures[0].startswith("seed 0: FloatingPointError: training diverged")
         assert np.isnan(rows[0].acc_mean)
-
-
-class TestSensitivitySweep:
-    def test_single_point_grid(self):
-        rows = sensitivity_sweep(SMALL_SPEC, SMALL_CFG, "beta", [0.5])
-        assert len(rows) == 1
-        assert rows[0]["value"] == 0.5
-
-    def test_row_count_matches_grid(self):
-        rows = sensitivity_sweep(SMALL_SPEC, SMALL_CFG, "alpha_max", [0.3, 0.6, 0.9])
-        assert [r["value"] for r in rows] == [0.3, 0.6, 0.9]
-
-    def test_bad_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            sensitivity_sweep(SMALL_SPEC, SMALL_CFG, "lr", [0.5])
-
-    def test_out_of_range_grid_rejected(self):
-        with pytest.raises(ValueError):
-            sensitivity_sweep(SMALL_SPEC, SMALL_CFG, "beta", [1.5])
+        assert rows[0].solver_nonconverged is None
