@@ -392,6 +392,8 @@ def _cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
         variants = [(repr(v), replace(cfg.train, **{args.param: v})) for v in grid]
     except ValueError as exc:
         raise ConfigError(f"bad --grid {args.grid!r}: {exc}") from exc
+    if not grid:
+        raise ConfigError(f"--grid names no value: {args.grid!r}")
     seeds = range(args.seeds) if args.seeds else [cfg.train.seed]
     results = run_ablation(cfg.task, variants, seeds)
     sweep_path = out_dir / "sweep.csv"
@@ -423,47 +425,52 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # no parser accepts a prefix of an option name, so each config key has
+    # exactly one flag
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config", help="key = value config file")
     common.add_argument("--preset", default="default", choices=sorted(PRESETS))
     common.add_argument("--out", default="potpda_out", help="output directory")
     for key in CONFIG_KEYS:
         common.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", default=None)
 
-    parser = argparse.ArgumentParser(prog="potpda",
+    parser = argparse.ArgumentParser(prog="potpda", allow_abbrev=False,
                                      description="Partial-transport toolkit for partial domain adaptation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="solve one partial transport instance")
+    def add_parser(name, help):
+        return sub.add_parser(name, parents=[common], allow_abbrev=False, help=help)
+
+    p = add_parser("solve", help="solve one partial transport instance")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--cost", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", choices=("exact", "entropic"), default="exact")
 
-    p = sub.add_parser("weights", parents=[common], help="compute source weights under a scheme")
+    p = add_parser("weights", help="compute source weights under a scheme")
     p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--params", help="params.json from a training run")
     p.add_argument("--alpha", type=float)
 
-    p = sub.add_parser("bound-check", parents=[common], help="random-instance bound validity sweep")
+    p = add_parser("bound-check", help="random-instance bound validity sweep")
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--trials", type=int, default=100)
 
-    p = sub.add_parser("train", parents=[common], help="run the training procedure")
+    p = add_parser("train", help="run the training procedure")
     p.add_argument("--data", required=True)
 
-    p = sub.add_parser("bench", parents=[common], help="compare weighting schemes on a synthetic task")
+    p = add_parser("bench", help="compare weighting schemes on a synthetic task")
     p.add_argument("--schemes", default="warmpot,uniform")
     p.add_argument("--seeds", type=int, default=6)
 
-    p = sub.add_parser("sweep", parents=[common], help="sensitivity sweep over an alignment knob")
+    p = add_parser("sweep", help="sensitivity sweep over an alignment knob")
     p.add_argument("--param", choices=("alpha_max", "beta"), required=True)
     p.add_argument("--grid", required=True, help="comma-separated values in (0, 1]")
     p.add_argument("--seeds", type=int, default=0)
 
-    p = sub.add_parser("make-task", parents=[common], help="generate a synthetic task CSV")
+    add_parser("make-task", help="generate a synthetic task CSV")
     return parser
 
 

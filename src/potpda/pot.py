@@ -14,7 +14,8 @@ the start-up cost of scipy's optimize package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +49,8 @@ class TransportPlan:
     plans HiGHS's ``simplex_iteration_count`` summed over the shortlist's LP
     rounds.  When the shortlist holds every cell there is one round, and the
     count is the ``nit`` that scipy's ``method="highs"`` LP interface reports
-    on the dense LP.
+    on the dense LP.  ``row_sums`` and ``col_sums`` are computed once, at
+    construction, so the matrix must not change afterwards.
     """
 
     matrix: np.ndarray
@@ -57,23 +59,30 @@ class TransportPlan:
     mass: float
     converged: bool = True
     n_iter: int = 0
+    row_sums: np.ndarray = field(init=False, repr=False, compare=False)
+    col_sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
+        matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "row_caps", np.asarray(self.row_caps, dtype=float))
         object.__setattr__(self, "col_caps", np.asarray(self.col_caps, dtype=float))
+        object.__setattr__(self, "row_sums", matrix.sum(axis=1))
+        object.__setattr__(self, "col_sums", matrix.sum(axis=0))
 
     def max_violation(self) -> float:
         """Largest constraint violation: negativity, cap excess, or mass error;
         infinite when an entry is not finite."""
-        p = self.matrix
-        if not np.all(np.isfinite(p)):
+        p, row_sums = self.matrix, self.row_sums
+        total = float(row_sums.sum())
+        # a non-finite entry leaves its row sum, and so the total, non-finite
+        if not math.isfinite(total):
             return np.inf
-        neg = max(0.0, float(-p.min())) if p.size else 0.0
-        row_excess = float(np.max(p.sum(axis=1) - self.row_caps, initial=0.0))
-        col_excess = float(np.max(p.sum(axis=0) - self.col_caps, initial=0.0))
-        mass_err = abs(float(p.sum()) - self.mass)
-        return max(neg, row_excess, col_excess, mass_err)
+        mass_err = abs(total - self.mass)
+        if not p.size:
+            return mass_err
+        return max(mass_err, float(-p.min()), float((row_sums - self.row_caps).max()),
+                   float((self.col_sums - self.col_caps).max()))
 
     def validate(self, tol: float = EXACT_FEAS_TOL) -> None:
         v = self.max_violation()
@@ -103,7 +112,7 @@ class SolverConfig:
 
 def _cost_entries(C) -> np.ndarray:
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    if not np.all(np.isfinite(C)):
+    if not np.isfinite(C).all():
         raise ValueError("cost matrix must be finite")
     return C
 
@@ -115,9 +124,9 @@ def _check_inputs(a, b, C, alpha: float):
     C = _cost_entries(C)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("marginal masses must be finite")
-    if np.any(a < 0) or np.any(b < 0):
+    if (a < 0).any() or (b < 0).any():
         raise ValueError("marginal masses must be nonnegative")
     if not alpha > 0:
         raise ValueError("transported mass alpha must be positive")
@@ -302,41 +311,54 @@ def _logsumexp(a: np.ndarray, axis: int | None = None):
 def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) -> TransportPlan:
     """Approximate plan via Dykstra-corrected multiplicative scaling of exp(-C/eps).
 
-    The plan is exp(L0 + log_u + log_v + log_s) for the normalised log kernel
-    L0 = -C/eps - logsumexp(-C/eps) + log(alpha).  Each sweep undoes the
-    previous cycle's scaling for a constraint block, then re-projects: rows
-    are damped onto their caps, then columns, then the total mass is rescaled
-    to alpha.  A zero cap forces its row or column of the plan to zero, so
-    the sweeps run on the block of rows and columns with positive caps, where
-    every scaling is finite, and the block plan is scattered into a zero
-    matrix; when every cap is positive the block is L0 itself.  One loop runs
-    the sweeps and picks each sweep's form: two matrix-vector products with
-    the kernel K = exp(L0) and one dot product, with the scalings kept in
-    logs, until the kernel sums of a row, a column or the total read below
-    float range (tiny/eps); from that sweep on, the same updates as
-    log-sum-exps over L0.  Stops when successive scalings are stationary;
-    non-convergence within max_iter is flagged on the plan, not raised.
-    ``n_iter`` counts sweeps.  Raises ValueError when eps is so small that
-    -C/eps overflows in every cell that can carry mass.
+    The kernel K is built once, in one buffer: -C/eps less its largest entry,
+    one exponential, then a rescaling to total mass alpha.  The plan is
+    s * diag(u) K diag(v) for linear scalings u of the rows, v of the columns
+    and s of the total: the iterative Bregman projections of Benamou,
+    Carlier, Cuturi, Nenna and Peyre (2015).  Each sweep undoes the previous
+    cycle's scaling for a constraint block, then re-projects: rows are damped
+    onto their caps, then columns, then the total mass is rescaled to alpha.
+    A zero cap forces its row or column of the plan to zero, so the sweeps
+    run on the block of rows and columns with positive caps, where every
+    scaling is positive, and the block plan is scattered into a zero matrix;
+    when every cap is positive the block is K itself.  A sweep is two
+    matrix-vector products with K and one dot product, until a kernel sum of
+    a row, a column or the total, or a scaling, reads below float range
+    (tiny/eps).  Only then is the log kernel log K built from C, written over
+    K; that sweep is redone, and every later one run, as log-sum-exps over
+    it.  The plan is K scaled in place.  Stops when the log scalings change
+    by less than tol; non-convergence within max_iter is flagged on the
+    plan, not raised.  ``n_iter`` counts sweeps.  Raises ValueError when eps
+    is so small that -C/eps overflows in every cell that can carry mass.
     """
     cfg = cfg or SolverConfig()
     a, b, C, alpha = _check_inputs(a, b, C, alpha)
     rows, cols = a > 0, b > 0
-    log_alpha = np.log(alpha)
     with np.errstate(over="ignore"):  # overflowed cells carry no mass
-        L0 = -C / cfg.eps
+        K = C / -cfg.eps
+    top = K.max()
     # alpha > 0 leaves a positive cap on some row and some column, so an
-    # all-finite L0 has a finite cell that can carry mass
-    if not (np.isfinite(L0).all() or np.isfinite(L0[np.ix_(rows, cols)]).any()):
+    # all-finite -C/eps has a finite cell that can carry mass
+    if not ((-np.inf < K.min() and top < np.inf) or np.isfinite(K[np.ix_(rows, cols)]).any()):
         raise ValueError(f"eps={cfg.eps} is too small for these costs: -C/eps "
                          "overflows in every cell with a positive row and column cap")
-    L0 = L0 + (log_alpha - _logsumexp(L0))
+    K -= top
+    np.exp(K, out=K)
+    total = K.sum()
+    K *= alpha / total
 
     every_cap_positive = rows.all() and cols.all()
-    block = L0 if every_cap_positive else L0[np.ix_(rows, cols)]
-    log_u, log_v, log_s, n_iter, converged = _sweeps(
-        block, np.log(a[rows]), np.log(b[cols]), log_alpha, cfg)
-    matrix = np.exp(block + log_u[:, None] + log_v[None, :] + log_s)
+    if not every_cap_positive:
+        K = K[np.ix_(rows, cols)]
+
+    def log_kernel(out):
+        """log K, the log-sum-exp-normalised -C/eps plus log(alpha), in ``out``."""
+        with np.errstate(over="ignore"):
+            np.divide(C if every_cap_positive else C[np.ix_(rows, cols)], -cfg.eps, out=out)
+        out += np.log(alpha) - (np.log(total) + top)
+        return out
+
+    matrix, n_iter, converged = _sweeps(K, log_kernel, a[rows], b[cols], alpha, cfg)
     if not every_cap_positive:
         full = np.zeros(C.shape)
         full[np.ix_(rows, cols)] = matrix
@@ -347,55 +369,79 @@ def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) 
     return plan
 
 
-# kernel sums below this have lost the precision of a double
+# kernel sums and scalings below this have lost the precision of a double
 _KERNEL_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
-def _sweeps(L0, log_a, log_b, log_alpha, cfg: SolverConfig):
-    """Log scalings of the rows, columns and total, the sweep count and
-    whether successive scalings became stationary within max_iter.
+def _sweeps(K, log_kernel, a, b, alpha: float, cfg: SolverConfig):
+    """The plan on the positive-cap block, the sweep count and whether
+    successive log scalings became stationary within max_iter.
 
-    ``L0`` is the positive-cap block of the log kernel, so ``log_a`` and
-    ``log_b`` are finite and every scaling stays finite.  Sweeps run in
-    kernel form until the first one whose kernel sums leave float range;
-    that sweep is redone, and every later one run, in log form.
+    ``K`` is the positive-cap block of the kernel, so ``a`` and ``b`` are
+    positive.  Sweeps run on K and linear scalings until the first one that
+    leaves float range; ``log_kernel`` then writes log K over K, and that sweep
+    is redone, and every later one run, in log form.  The plan overwrites K.
     """
-    K = np.exp(L0)
-    log_u = np.zeros(L0.shape[0])
-    log_v = np.zeros(L0.shape[1])
-    log_s = 0.0
-    in_kernel = True
+    m = len(a)
+    # the row scalings u = uv[:m] and the column scalings v = uv[m:]
+    uv, s = np.ones(m + len(b)), 1.0
     for it in range(cfg.max_iter):
-        new = (_kernel_sweep(K, log_a, log_b, log_alpha, log_u, log_v, log_s)
-               if in_kernel else None)
+        new = _kernel_sweep(K, a, b, alpha, uv[m:], s)
         if new is None:
-            in_kernel = False
-            new = _log_sweep(L0, log_a, log_b, log_alpha, log_u, log_v, log_s)
-        new_u, new_v, new_s = new
-        change = max(np.max(np.abs(new_u - log_u)), np.max(np.abs(new_v - log_v)),
-                     abs(new_s - log_s))
-        log_u, log_v, log_s = new
+            return _log_sweeps(log_kernel(K), np.log(a), np.log(b), np.log(alpha),
+                               np.log(uv[:m]), np.log(uv[m:]), math.log(s), it, cfg)
+        new_uv, new_s = new
+        ratio = new_uv / uv
+        change = max(math.log(ratio.max()), -math.log(ratio.min()), abs(math.log(new_s / s)))
+        uv, s = new
         if change < cfg.tol:
-            return log_u, log_v, log_s, it + 1, True
-    return log_u, log_v, log_s, cfg.max_iter, False
+            n_iter, converged = it + 1, True
+            break
+    else:
+        n_iter, converged = cfg.max_iter, False
+    K *= uv[:m, None]
+    K *= uv[m:] * s
+    return K, n_iter, converged
 
 
-def _kernel_sweep(K, log_a, log_b, log_alpha, log_u, log_v, log_s):
-    """One sweep as two matrix-vector products with the positive-cap block K
-    and one dot product; None when a row or column sum, or the total, falls
+def _kernel_sweep(K, a, b, alpha, v, s):
+    """One sweep from the column scalings ``v`` and the total scaling ``s``,
+    as two matrix-vector products with the positive-cap block K and one dot
+    product: the new row and column scalings in one array, and the new total
+    scaling.  None when a row or column sum, the total or a new scaling falls
     below _KERNEL_FLOOR."""
-    row_sums = K @ np.exp(log_v)
+    m = len(a)
+    new = np.empty(m + len(b))
+    row_sums = K @ v
     if row_sums.min() < _KERNEL_FLOOR:
         return None
-    new_u = np.minimum(log_a - log_s - np.log(row_sums), 0.0)
-    col_sums = np.exp(new_u) @ K
+    u = np.minimum(a / (s * row_sums), 1.0, out=new[:m])
+    col_sums = u @ K
     if col_sums.min() < _KERNEL_FLOOR:
         return None
-    new_v = np.minimum(log_b - log_s - np.log(col_sums), 0.0)
-    total = float(col_sums @ np.exp(new_v))
-    if total < _KERNEL_FLOOR:
+    total = float(col_sums @ np.minimum(b / (s * col_sums), 1.0, out=new[m:]))
+    if min(total, new.min()) < _KERNEL_FLOOR:
         return None
-    return new_u, new_v, log_alpha - np.log(total)
+    return new, alpha / total
+
+
+def _log_sweeps(L0, log_a, log_b, log_alpha, log_u, log_v, log_s, start: int,
+                cfg: SolverConfig):
+    """Sweeps ``start`` onwards in log form over the log kernel L0, from the
+    log scalings of the last kernel sweep; returns what ``_sweeps`` does, the
+    plan overwriting L0."""
+    n_iter, converged = cfg.max_iter, False
+    for it in range(start, cfg.max_iter):
+        new_u, new_v, new_s = _log_sweep(L0, log_a, log_b, log_alpha, log_u, log_v, log_s)
+        change = max(np.max(np.abs(new_u - log_u)), np.max(np.abs(new_v - log_v)),
+                     abs(new_s - log_s))
+        log_u, log_v, log_s = new_u, new_v, new_s
+        if change < cfg.tol:
+            n_iter, converged = it + 1, True
+            break
+    L0 += log_u[:, None]
+    L0 += log_v + log_s
+    return np.exp(L0, out=L0), n_iter, converged
 
 
 def _log_sweep(L0, log_a, log_b, log_alpha, log_u, log_v, log_s):

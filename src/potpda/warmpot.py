@@ -9,6 +9,8 @@ and the alignment cost.  Gradients are exact for the fixed-plan objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,7 +100,7 @@ class ModelParams:
         self.W_g = np.atleast_2d(np.asarray(self.W_g, dtype=float))
         self.bias = np.atleast_1d(np.asarray(self.bias, dtype=float))
         for block in (self.W_f, self.W_g, self.bias):
-            if not np.all(np.isfinite(block)):
+            if not np.isfinite(block).all():
                 raise ValueError("model parameters must be finite")
 
     @classmethod
@@ -120,16 +122,20 @@ class ModelParams:
         return np.atleast_2d(np.asarray(x, dtype=float)) @ self.W_f.T
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
-        return _softmax(self.features(x) @ self.W_g.T + self.bias)
+        return _class_probabilities(self, self.features(x)).T
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.probabilities(x).argmax(axis=1)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _class_probabilities(params: ModelParams, feats: np.ndarray) -> np.ndarray:
+    """Softmax predictions with one column per sample and one row per class,
+    so the max and the sum over classes run along contiguous rows."""
+    z = params.W_g @ feats.T + params.bias[:, None]
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0)
+    return z
 
 
 def alpha_schedule(iteration: int, cfg: TrainConfig) -> float:
@@ -140,42 +146,59 @@ def alpha_schedule(iteration: int, cfg: TrainConfig) -> float:
     return ALPHA_START + (cfg.alpha_max - ALPHA_START) * frac
 
 
-@dataclass(frozen=True)
-class _Forward:
+class _Forward(NamedTuple):
     """One evaluation of the model on a minibatch.
 
     Holds everything the plan solve, the objective value and the gradients
-    read, so a training step maps each input through the model once.
+    read, so a training step maps its inputs through the model once: the
+    ``n_s`` source rows and then the target rows of ``x``, stacked in one
+    array.  ``probs`` has one column per stacked row.
     """
 
-    bs_x: np.ndarray
+    x: np.ndarray
     bs_y: np.ndarray
-    bt_x: np.ndarray
-    feats_s: np.ndarray
-    feats_t: np.ndarray
-    probs_s: np.ndarray
-    probs_t: np.ndarray
+    n_s: int
+    feats: np.ndarray
+    probs: np.ndarray
     dist: np.ndarray
     src_losses: np.ndarray
     cost: np.ndarray
 
 
 def _forward(params: ModelParams, bs_x, bs_y, bt_x, cfg: TrainConfig) -> _Forward:
-    """Features, softmaxes, feature distances, per-sample source losses and
-    the feature-plus-label alignment cost."""
-    bs_x = np.atleast_2d(np.asarray(bs_x, dtype=float))
-    bt_x = np.atleast_2d(np.asarray(bt_x, dtype=float))
+    """Features and softmaxes of the stacked source and target batches,
+    feature distances, per-sample source losses and the feature-plus-label
+    alignment cost."""
+    bs_x = np.atleast_2d(bs_x)
+    x = np.concatenate([bs_x, np.atleast_2d(bt_x)], dtype=float)
     bs_y = np.asarray(bs_y, dtype=int)
-    feats_s = params.features(bs_x)
-    feats_t = params.features(bt_x)
-    probs_s = _softmax(feats_s @ params.W_g.T + params.bias)
-    probs_t = _softmax(feats_t @ params.W_g.T + params.bias)
-    src_losses = -np.log(np.maximum(probs_s[np.arange(len(bs_y)), bs_y], 1e-300))
-    dist = cdist_euclidean(feats_s, feats_t)
+    n_s = len(bs_x)
+    feats = params.features(x)
+    probs = _class_probabilities(params, feats)
+    nll = -np.log(np.maximum(probs, 1e-300))
+    dist = cdist_euclidean(feats[:n_s], feats[n_s:])
     # cross-entropy of each source one-hot label against each target prediction
-    ce = -np.log(np.maximum(probs_t, 1e-300))[:, bs_y].T
-    cost = cfg.eta1 * dist + cfg.eta2 * ce
-    return _Forward(bs_x, bs_y, bt_x, feats_s, feats_t, probs_s, probs_t, dist, src_losses, cost)
+    cost = cfg.eta1 * dist + cfg.eta2 * nll[bs_y, n_s:]
+    return _Forward(x, bs_y, n_s, feats, probs, dist, nll[bs_y, np.arange(n_s)], cost)
+
+
+@lru_cache
+def _marginals(n_s: int, n_t: int, beta: float):
+    """The minibatch plan's caps, the 1/beta-inflated uniform source and the
+    uniform target, and the largest mass they admit; built once per batch
+    shape, and read-only."""
+    a = np.full(n_s, 1.0 / (beta * n_s))
+    b = np.full(n_t, 1.0 / n_t)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b, min(a.sum(), b.sum())
+
+
+@lru_cache
+def _one_hot_table(n_classes: int) -> np.ndarray:
+    """Column y is the one-hot label y; built once per class count and read-only."""
+    table = np.eye(n_classes)
+    table.flags.writeable = False
+    return table
 
 
 def _solve(fwd: _Forward, alpha: float, cfg: TrainConfig):
@@ -183,35 +206,38 @@ def _solve(fwd: _Forward, alpha: float, cfg: TrainConfig):
     n_bs, n_bt = fwd.cost.shape
     if n_bs == 0 or n_bt == 0:
         raise ValueError("batches must be nonempty")
-    a = np.full(n_bs, 1.0 / (cfg.beta * n_bs))
-    b = np.full(n_bt, 1.0 / n_bt)
-    alpha_eff = min(alpha, a.sum(), b.sum())
+    a, b, mass_limit = _marginals(n_bs, n_bt, cfg.beta)
+    alpha_eff = min(alpha, mass_limit)
     plan = entropic_partial_ot(a, b, fwd.cost, alpha_eff, cfg.solver())
-    return plan, WeightVector(plan.matrix.sum(axis=1))
+    return plan, WeightVector(plan.row_sums)
 
 
 def _value(fwd: _Forward, plan_matrix: np.ndarray, source_weights: np.ndarray) -> float:
-    return float(source_weights @ fwd.src_losses) + float((plan_matrix * fwd.cost).sum())
+    return float(source_weights @ fwd.src_losses) + float(np.vdot(plan_matrix, fwd.cost))
 
 
-def _gradients(params: ModelParams, fwd: _Forward, plan_matrix: np.ndarray,
+def _gradients(params: ModelParams, fwd: _Forward, plan_matrix: np.ndarray, col_mass: np.ndarray,
                source_weights: np.ndarray, cfg: TrainConfig) -> dict:
-    n_classes = params.W_g.shape[0]
-    onehot = np.eye(n_classes)[fwd.bs_y]
+    """Gradients of the fixed-plan objective; ``col_mass`` is the plan's
+    column sums.  The logit, feature and parameter gradients are each formed
+    once over the stacked source and target rows."""
+    n_s = fwd.n_s
+    labels = _one_hot_table(params.W_g.shape[0])[:, fwd.bs_y]
+    feats_s, feats_t = fwd.feats[:n_s], fwd.feats[n_s:]
 
     # non-finite inputs are caught by the explicit check at the end
     with np.errstate(invalid="ignore", over="ignore"):
-        # weighted source cross-entropy: dz_s[i] = w_i (p_s[i] - onehot_i)
-        dz_s = source_weights[:, None] * (fwd.probs_s - onehot)
+        # logit gradients, one column per stacked row
+        dz = np.empty_like(fwd.probs)
+        # weighted source cross-entropy: dz[:, i] = w_i (p_s[i] - onehot_i)
+        np.multiply(fwd.probs[:, :n_s] - labels, source_weights, out=dz[:, :n_s])
         # label part of the alignment cost:
-        # dz_t[j] = eta2 (colmass_j p_t[j] - sum_i plan_ij onehot_i)
-        col_mass = plan_matrix.sum(axis=0)
-        dz_t = cfg.eta2 * (col_mass[:, None] * fwd.probs_t - plan_matrix.T @ onehot)
-
-        dW_g = dz_s.T @ fwd.feats_s + dz_t.T @ fwd.feats_t
-        dbias = dz_s.sum(axis=0) + dz_t.sum(axis=0)
-        dfeats_s = dz_s @ params.W_g
-        dfeats_t = dz_t @ params.W_g
+        # dz[:, n_s + j] = eta2 (colmass_j p_t[j] - sum_i plan_ij onehot_i)
+        np.multiply(cfg.eta2, fwd.probs[:, n_s:] * col_mass - labels @ plan_matrix,
+                    out=dz[:, n_s:])
+        dW_g = dz @ fwd.feats
+        dbias = dz.sum(axis=1)
+        dfeats = dz.T @ params.W_g
 
         # feature part of the alignment cost: with s_ij = eta1 plan_ij / dist_ij,
         # sum_j s_ij (fs_i - ft_j) and sum_i s_ij (fs_i - ft_j) as matrix
@@ -220,16 +246,16 @@ def _gradients(params: ModelParams, fwd: _Forward, plan_matrix: np.ndarray,
         # cancelling terms of size eta1 plan_ij / 1e-12 there
         scale = cfg.eta1 * plan_matrix / np.maximum(fwd.dist, 1e-12)
         scale[fwd.dist == 0] = 0.0
-        dfeats_s += scale.sum(axis=1)[:, None] * fwd.feats_s - scale @ fwd.feats_t
-        dfeats_t -= scale.T @ fwd.feats_s - scale.sum(axis=0)[:, None] * fwd.feats_t
+        dfeats[:n_s] += scale.sum(axis=1)[:, None] * feats_s - scale @ feats_t
+        dfeats[n_s:] -= scale.T @ feats_s - scale.sum(axis=0)[:, None] * feats_t
 
-        dW_f = dfeats_s.T @ fwd.bs_x + dfeats_t.T @ fwd.bt_x
+        dW_f = dfeats.T @ fwd.x
     grads = {"W_f": dW_f, "W_g": dW_g, "bias": dbias}
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FloatingPointError(
                 f"non-finite gradient in {name}: "
-                f"|plan|={plan_matrix.sum():.3e} max|feat|={np.abs(fwd.feats_s).max():.3e}")
+                f"|plan|={plan_matrix.sum():.3e} max|feat|={np.abs(feats_s).max():.3e}")
     return grads
 
 
@@ -255,7 +281,7 @@ def fixed_plan_gradients(params: ModelParams, bs_x, bs_y, bt_x, plan_matrix: np.
                          source_weights: np.ndarray, cfg: TrainConfig) -> dict:
     """Exact gradients of fixed_plan_value for every parameter block."""
     return _gradients(params, _forward(params, bs_x, bs_y, bt_x, cfg), plan_matrix,
-                      source_weights, cfg)
+                      plan_matrix.sum(axis=0), source_weights, cfg)
 
 
 def warmpot_step(params: ModelParams, bs_x, bs_y, bt_x, alpha: float, cfg: TrainConfig,
@@ -270,12 +296,12 @@ def warmpot_step(params: ModelParams, bs_x, bs_y, bt_x, alpha: float, cfg: Train
     plan, p_hat = _solve(fwd, alpha, cfg)
     weights = p_hat.values if source_weights is None else np.asarray(source_weights, dtype=float)
     value = _value(fwd, plan.matrix, weights)
-    grads = _gradients(params, fwd, plan.matrix, weights, cfg)
+    grads = _gradients(params, fwd, plan.matrix, plan.col_sums, weights, cfg)
     new = ModelParams(params.W_f - cfg.lr * grads["W_f"], params.W_g - cfg.lr * grads["W_g"],
                       params.bias - cfg.lr * grads["bias"])
     info = {
         "objective": value,
-        "plan_mass": float(plan.matrix.sum()),
+        "plan_mass": float(plan.row_sums.sum()),
         "solver_converged": plan.converged,
         "solver_iters": plan.n_iter,
         "alpha": plan.mass,
@@ -306,7 +332,7 @@ def class_labels(source_y) -> np.ndarray:
     """Source labels as class indices; the classifier head has one row per
     index up to the largest, so labels must be nonnegative integers."""
     y = np.asarray(source_y)
-    if not (np.issubdtype(y.dtype, np.number) and np.all(y >= 0) and np.all(y == np.floor(y))):
+    if not (np.issubdtype(y.dtype, np.number) and (y >= 0).all() and (y == np.floor(y)).all()):
         raise ValueError("source labels must be nonnegative integers")
     return y.astype(int)
 

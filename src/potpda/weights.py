@@ -32,7 +32,7 @@ class WeightVector:
 
     def __post_init__(self):
         w = np.asarray(self.values, dtype=float)
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
+        if (w < 0).any() or not np.isfinite(w).all():
             raise ValueError("weights must be finite and nonnegative")
         object.__setattr__(self, "values", w)
 
@@ -60,9 +60,7 @@ class ArpmConfig:
 
 def marginal_weights(plan: TransportPlan):
     """Row and column sums of a coupling; both sum to the plan mass."""
-    p = plan.matrix.sum(axis=1)
-    q = plan.matrix.sum(axis=0)
-    return WeightVector(p), WeightVector(q)
+    return WeightVector(plan.row_sums), WeightVector(plan.col_sums)
 
 
 def tv_term(q: WeightVector | np.ndarray, alpha: float, n_t: int) -> float:
@@ -208,7 +206,7 @@ def gamma_constrained_weights(source_feats, target_feats, beta: float,
     a = np.full(n_s, 1.0 / (beta * n_s))
     b = np.full(n_t, 1.0 / n_t)
     plan, _ = exact_partial_ot(a, b, dist, alpha)
-    return WeightVector(plan.matrix.sum(axis=1))
+    return WeightVector(plan.row_sums)
 
 
 def weight_histogram(normalized_values) -> np.ndarray:

@@ -194,6 +194,18 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [["--alpha", "0.5"], ["--solver-max", "7"],
+                                      ["--alpha", "0.5", "--solver-max", "7"]], ids=" ".join)
+    def test_prefix_of_a_flag_is_not_an_alias(self, tiny_task, tmp_path, capsys, argv):
+        # prefix matching would read these as --alpha-max and --solver-max-iter
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(tiny_task), "--out", str(out)] + argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments" in captured.err and argv[0] in captured.err
+        assert not out.exists()
+
     def test_bad_config_value_exits_two(self, tiny_task, tmp_path, capsys):
         code = main(["train", "--data", str(tiny_task), "--beta", "7",
                      "--out", str(tmp_path / "out")])
@@ -329,6 +341,8 @@ class TestExitCodes:
         *(["weights", "--scheme", scheme, "--data", "{task}", "--alpha", alpha]
           for scheme, alpha in (("uniform", "0.5"), ("arpm", "0.3"), ("ba3us", "0.5"))),
         ["bench", "--schemes", ","],
+        ["sweep", "--param", "beta", "--grid", ","],
+        ["sweep", "--param", "alpha_max", "--grid", " , "],
     ], ids=" ".join)
     def test_bad_count_grid_or_cross_key_value_exits_two(self, tiny_task, tmp_path, capsys, argv):
         inputs = {"task": tiny_task}

@@ -1,6 +1,8 @@
 """Partial transport solvers against the vertex-enumeration oracle, the
 log-domain entropic loop and the dense-matrix transportation LP."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -435,6 +437,22 @@ class TestEntropicPartialOt:
         assert plan.converged
         np.testing.assert_array_equal(plan.matrix, [[0.4, 0.0], [0.0, 0.4]])
 
+    def test_peak_memory_stays_near_one_cost_matrix(self):
+        # the kernel is built, swept and turned into the plan in one buffer:
+        # the solve's own allocations peak near the plan's size
+        rng = np.random.default_rng(47)
+        n = 600
+        C = cdist(rng.uniform(0, 4, (n, 4)), rng.uniform(0, 4, (n, 4)))
+        a, b = np.full(n, 1.0 / (0.8 * n)), np.full(n, 1.0 / n)
+        tracemalloc.start()
+        try:
+            plan = entropic_partial_ot(a, b, C, 0.8, SolverConfig(eps=0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.converged
+        assert peak <= 2 * C.nbytes
+
     def test_n_iter_counts_sweeps(self):
         cfg = SolverConfig(eps=0.05)
         plan = entropic_partial_ot(A2, B2, C2, ALPHA2, cfg)
@@ -500,6 +518,27 @@ class TestEntropicAgainstLogDomainLoop:
         plan = assert_matches_reference(a, b, C, 0.5, SolverConfig(eps=1.0))
         assert plan.converged and shapes == [(61, 61)] * plan.n_iter
         assert np.all(plan.matrix[a == 0] == 0) and np.all(plan.matrix[:, b == 0] == 0)
+
+    def test_handoff_partway_through_a_trainer_sized_solve(self, monkeypatch):
+        # one row sits 662 eps above the rest: its kernel sums stay in range
+        # for the first sweeps and drop below it as the column scalings
+        # shrink, so the solve starts in kernel form and ends in log form
+        kinds = []
+        kernel_sweep = pot._kernel_sweep
+
+        def recording_kernel_sweep(*args):
+            new = kernel_sweep(*args)
+            kinds.append("kernel" if new is not None else "underflow")
+            return new
+
+        monkeypatch.setattr(pot, "_kernel_sweep", recording_kernel_sweep)
+        rng = np.random.default_rng(46)
+        a, b, C, _ = trainer_batch_instance(rng)
+        C[5] += 66.2
+        plan = assert_matches_reference(a, b, C, 0.5, SolverConfig(eps=0.1))
+        handoff = kinds.index("underflow")
+        assert plan.converged and 0 < handoff < plan.n_iter
+        assert kinds == ["kernel"] * handoff + ["underflow"]
 
     @pytest.mark.parametrize("offset, b, handoff_sweep", [(900.0, [0.4, 0.6], 0),
                                                           (672.0, [0.3, 0.7], 3)])
