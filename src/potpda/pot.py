@@ -124,13 +124,17 @@ def _check_inputs(a, b, C, alpha: float):
     C = _cost_entries(C)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    mass_a, mass_b = a.sum(), b.sum()
+    # a NaN or infinite entry leaves its sum non-finite; only a sum that
+    # overflows needs the entrywise test
+    if not ((math.isfinite(mass_a) or np.isfinite(a).all())
+            and (math.isfinite(mass_b) or np.isfinite(b).all())):
         raise ValueError("marginal masses must be finite")
-    if (a < 0).any() or (b < 0).any():
+    if a.min(initial=0.0) < 0 or b.min(initial=0.0) < 0:
         raise ValueError("marginal masses must be nonnegative")
     if not alpha > 0:
         raise ValueError("transported mass alpha must be positive")
-    limit = min(a.sum(), b.sum())
+    limit = min(mass_a, mass_b)
     if alpha > limit + 1e-12:
         raise ValueError(f"infeasible: alpha={alpha} exceeds min marginal mass {limit}")
     if a.shape[0] != C.shape[0] or b.shape[0] != C.shape[1]:
@@ -315,41 +319,53 @@ def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) 
     one exponential, then a rescaling to total mass alpha.  The plan is
     s * diag(u) K diag(v) for linear scalings u of the rows, v of the columns
     and s of the total: the iterative Bregman projections of Benamou,
-    Carlier, Cuturi, Nenna and Peyre (2015).  Each sweep undoes the previous
-    cycle's scaling for a constraint block, then re-projects: rows are damped
-    onto their caps, then columns, then the total mass is rescaled to alpha.
+    Carlier, Cuturi, Nenna and Peyre (2015), over two constraint blocks.
+    Each sweep undoes the previous cycle's scaling for a block, then
+    re-projects.  First the rows are damped onto their caps.  Then the
+    column caps and the total mass are met together, exactly: from the
+    column sums c of diag(u) K, the water level t with
+    sum_j min(t c_j, b_j) = alpha gives s = t and v_j = min(1, b_j / (t c_j)),
+    so each column either keeps the common level or fills its cap.
     A zero cap forces its row or column of the plan to zero, so the sweeps
     run on the block of rows and columns with positive caps, where every
     scaling is positive, and the block plan is scattered into a zero matrix;
     when every cap is positive the block is K itself.  A sweep is two
-    matrix-vector products with K and one dot product, until a kernel sum of
-    a row, a column or the total, or a scaling, reads below float range
-    (tiny/eps).  Only then is the log kernel log K built from C, written over
-    K; that sweep is redone, and every later one run, as log-sum-exps over
-    it.  The plan is K scaled in place.  Stops when the log scalings change
-    by less than tol; non-convergence within max_iter is flagged on the
-    plan, not raised.  ``n_iter`` counts sweeps.  Raises ValueError when eps
-    is so small that -C/eps overflows in every cell that can carry mass.
+    matrix-vector products with K, until a kernel sum of a row or a column,
+    or a scaling, reads below float range (tiny/eps).  Only then is the log
+    kernel log K built from C, written over K; that sweep is redone, and
+    every later one run, as log-sum-exps over it.  The plan is K scaled in
+    place.  Stops when the log scalings change by less than tol;
+    non-convergence within max_iter is flagged on the plan, not raised, and
+    so is a log-form sweep that stops with log scalings too large to resolve
+    tol.  ``n_iter`` counts sweeps.  Raises ValueError when eps is so small that
+    -C/eps overflows to +inf in any cell, or to -inf in every cell that can
+    carry mass.
     """
     cfg = cfg or SolverConfig()
     a, b, C, alpha = _check_inputs(a, b, C, alpha)
-    rows, cols = a > 0, b > 0
     with np.errstate(over="ignore"):  # overflowed cells carry no mass
         K = C / -cfg.eps
     top = K.max()
-    # alpha > 0 leaves a positive cap on some row and some column, so an
-    # all-finite -C/eps has a finite cell that can carry mass
-    if not ((-np.inf < K.min() and top < np.inf) or np.isfinite(K[np.ix_(rows, cols)]).any()):
-        raise ValueError(f"eps={cfg.eps} is too small for these costs: -C/eps "
-                         "overflows in every cell with a positive row and column cap")
+    every_cap_positive = a.min() > 0 and b.min() > 0
+    if not every_cap_positive:
+        rows, cols = a > 0, b > 0
+    # alpha > 0 leaves a positive cap on some row and some column; when every
+    # cap is positive, a finite largest entry is a cell that can carry mass
+    if not (-np.inf < top < np.inf
+            and (every_cap_positive or np.isfinite(K[np.ix_(rows, cols)]).any())):
+        raise ValueError(f"eps={cfg.eps} is too small for these costs: -C/eps overflows to "
+                         "+inf in some cell, or to -inf in every cell with a positive row "
+                         "and column cap")
     K -= top
     np.exp(K, out=K)
     total = K.sum()
     K *= alpha / total
 
-    every_cap_positive = rows.all() and cols.all()
-    if not every_cap_positive:
+    if every_cap_positive:
+        block_a, block_b = a, b
+    else:
         K = K[np.ix_(rows, cols)]
+        block_a, block_b = a[rows], b[cols]
 
     def log_kernel(out):
         """log K, the log-sum-exp-normalised -C/eps plus log(alpha), in ``out``."""
@@ -358,7 +374,7 @@ def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) 
         out += np.log(alpha) - (np.log(total) + top)
         return out
 
-    matrix, n_iter, converged = _sweeps(K, log_kernel, a[rows], b[cols], alpha, cfg)
+    matrix, n_iter, converged = _sweeps(K, log_kernel, block_a, block_b, alpha, cfg)
     if not every_cap_positive:
         full = np.zeros(C.shape)
         full[np.ix_(rows, cols)] = matrix
@@ -399,17 +415,18 @@ def _sweeps(K, log_kernel, a, b, alpha: float, cfg: SolverConfig):
             break
     else:
         n_iter, converged = cfg.max_iter, False
-    K *= uv[:m, None]
-    K *= uv[m:] * s
+    # scalings are at most 1, and a row or column pass by all ones is skipped
+    if uv[:m].min() < 1.0:
+        K *= uv[:m, None]
+    K *= uv[m:] * s if uv[m:].min() < 1.0 else s
     return K, n_iter, converged
 
 
 def _kernel_sweep(K, a, b, alpha, v, s):
     """One sweep from the column scalings ``v`` and the total scaling ``s``,
-    as two matrix-vector products with the positive-cap block K and one dot
-    product: the new row and column scalings in one array, and the new total
-    scaling.  None when a row or column sum, the total or a new scaling falls
-    below _KERNEL_FLOOR."""
+    as two matrix-vector products with the positive-cap block K: the new row
+    and column scalings in one array, and the new total scaling.  None when
+    a row or column sum or a new scaling falls below _KERNEL_FLOOR."""
     m = len(a)
     new = np.empty(m + len(b))
     row_sums = K @ v
@@ -419,17 +436,79 @@ def _kernel_sweep(K, a, b, alpha, v, s):
     col_sums = u @ K
     if col_sums.min() < _KERNEL_FLOOR:
         return None
-    total = float(col_sums @ np.minimum(b / (s * col_sums), 1.0, out=new[m:]))
-    if min(total, new.min()) < _KERNEL_FLOOR:
+    level = b / col_sums
+    t = _water_level(col_sums, level, b, alpha, s)
+    np.minimum(level / t, 1.0, out=new[m:])
+    if new.min() < _KERNEL_FLOOR:
         return None
-    return new, alpha / total
+    return new, t
+
+
+def _water_level(c, level, b, alpha: float, guess: float) -> float:
+    """The t > 0 with sum_j min(t c_j, b_j) = alpha, for column sums c > 0,
+    their caps b and ``level`` = b / c, the t at which each column fills.
+
+    The sum is piecewise linear and increasing in t.  The columns whose
+    level lies below ``guess``, the previous sweep's t, are taken as the
+    full ones, and the others share what their caps leave of alpha: with no
+    full column, t = alpha / sum(c).  When the t this gives fills as many
+    columns, it fills the same ones, those of lowest level, and it is the
+    answer.  Failing that, _log_water_level sorts the levels.
+    """
+    full = level < guess
+    n_full = np.count_nonzero(full)
+    if n_full == 0:
+        t = alpha / c.sum()
+        if t <= level.min():
+            return t
+    elif n_full < len(c):
+        t = (alpha - b @ full) / (c @ ~full)
+        if t > 0 and np.count_nonzero(level < t) == n_full:
+            return t
+    return math.exp(_log_water_level(np.log(c), np.log(b), math.log(alpha)))
+
+
+def _log_water_level(log_c, log_b, log_alpha: float) -> float:
+    """log t for the water level of _water_level, from log column sums and
+    log caps, so that t may lie far outside float range.
+
+    With the columns sorted by level and the first k of them full, the sum
+    at the k-th level is their caps plus that level times the other
+    columns' sum; t lies between the level before the first k at which this
+    reaches alpha and that level.  When none does, alpha is the whole
+    column mass, and t is the largest level.  A column of log sum -inf
+    never fills and carries nothing.
+    """
+    live = log_c > -np.inf
+    if not live.all():
+        log_c, log_b = log_c[live], log_b[live]
+    level = log_b - log_c
+    order = np.argsort(level)
+    level, log_c, b = level[order], log_c[order], np.exp(log_b[order])
+    # the sum of c from column k on, and the caps of the columns before k
+    log_rest = np.logaddexp.accumulate(log_c[::-1])[::-1]
+    filled = np.cumsum(b) - b
+    alpha = math.exp(log_alpha)
+    with np.errstate(over="ignore"):
+        reach = filled + np.exp(level + log_rest)
+    k = int(np.argmax(reach >= alpha))
+    if not reach[k] >= alpha:
+        return float(level[-1])
+    log_t = (math.log(alpha - filled[k]) if alpha > filled[k] else -np.inf) - log_rest[k]
+    # rounding may leave the interval the answer lies in
+    return float(min(max(log_t, level[k - 1] if k else -np.inf), level[k]))
 
 
 def _log_sweeps(L0, log_a, log_b, log_alpha, log_u, log_v, log_s, start: int,
                 cfg: SolverConfig):
     """Sweeps ``start`` onwards in log form over the log kernel L0, from the
     log scalings of the last kernel sweep; returns what ``_sweeps`` does, the
-    plan overwriting L0."""
+    plan overwriting L0.
+
+    A log scaling of size x is stored to about x * 2^-52.  When that exceeds
+    tol, as when -C/eps spans many orders of float range, a sweep that
+    leaves the scalings unchanged certifies nothing: the loop stops there
+    and flags the plan as not converged, as it would at max_iter."""
     n_iter, converged = cfg.max_iter, False
     for it in range(start, cfg.max_iter):
         new_u, new_v, new_s = _log_sweep(L0, log_a, log_b, log_alpha, log_u, log_v, log_s)
@@ -437,7 +516,8 @@ def _log_sweeps(L0, log_a, log_b, log_alpha, log_u, log_v, log_s, start: int,
                      abs(new_s - log_s))
         log_u, log_v, log_s = new_u, new_v, new_s
         if change < cfg.tol:
-            n_iter, converged = it + 1, True
+            size = max(-log_u.min(), -log_v.min(), abs(log_s))
+            n_iter, converged = it + 1, bool(size * np.finfo(float).eps < cfg.tol)
             break
     L0 += log_u[:, None]
     L0 += log_v + log_s
@@ -448,7 +528,8 @@ def _log_sweep(L0, log_a, log_b, log_alpha, log_u, log_v, log_s):
     """The same sweep as log-sum-exps over L0, for kernel sums that underflow.
 
     A row or column whose cells all overflowed has a log-sum-exp of -inf and
-    takes the scaling 0, the cap of the damping."""
+    takes the log scaling 0, the cap of the damping."""
     log_u = np.minimum(log_a - log_s - _logsumexp(L0 + log_v[None, :], axis=1), 0.0)
-    log_v = np.minimum(log_b - log_s - _logsumexp(L0 + log_u[:, None], axis=0), 0.0)
-    return log_u, log_v, log_alpha - _logsumexp(L0 + log_u[:, None] + log_v[None, :])
+    log_c = _logsumexp(L0 + log_u[:, None], axis=0)
+    log_t = _log_water_level(log_c, log_b, log_alpha)
+    return log_u, np.minimum(log_b - log_t - log_c, 0.0), log_t

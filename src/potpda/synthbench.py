@@ -9,7 +9,7 @@ import numpy as np
 
 from .measures import PdaDataset
 from .pot import entropic_partial_ot  # noqa: F401 - wrapped by name in perfbench/spans.py
-from .warmpot import ModelParams, TrainConfig, _forward, _solve, train
+from .warmpot import ModelParams, TrainConfig, _batch, _forward, _solve, train
 from .weights import WeightVector, weight_histogram
 
 __all__ = [
@@ -112,7 +112,7 @@ def target_accuracy(params: ModelParams, ds: PdaDataset) -> float:
 
 def final_source_weights(params: ModelParams, ds: PdaDataset, cfg: TrainConfig):
     """End-of-training full-dataset plan weights, raw and cap-normalized."""
-    fwd = _forward(params, ds.source_x, ds.source_y, ds.target_x, cfg)
+    fwd = _forward(params, *_batch(ds.source_x, ds.source_y, ds.target_x), cfg)
     _, p_hat = _solve(fwd, cfg.alpha_max, cfg)
     return p_hat, np.clip(p_hat.values * cfg.beta * ds.n_s, 0.0, 1.0)
 
@@ -125,8 +125,8 @@ def run_ablation(spec: TaskSpec, variants: Sequence[tuple[str, TrainConfig]],
     both the task and the training run, so data and batches are paired across
     variants.  A seed that fails leaves a marker naming the exception type
     instead of aborting the table; statistics over no finished seed are NaN,
-    and `solver_nonconverged` (steps whose plan hit the sweep cap, summed over
-    the seeds whose training finished) is then None."""
+    and `solver_nonconverged` (steps whose plan was flagged not converged,
+    summed over the seeds whose training finished) is then None."""
     results = []
     for label, cfg in variants:
         accs, shares, failures = [], [], []

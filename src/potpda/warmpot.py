@@ -8,6 +8,7 @@ and the alignment cost.  Gradients are exact for the fixed-plan objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -81,27 +82,79 @@ class TrainConfig:
             raise ValueError(f"weight_scheme must be one of {', '.join(SCHEMES)}")
         if self.weight_update_every < 1:
             raise ValueError("weight_update_every must be positive")
-        self.solver()  # eps, solver_max_iter and solver_tol follow SolverConfig's rules
+        # eps, solver_max_iter and solver_tol follow SolverConfig's rules; built
+        # once, since every training step solves with it
+        object.__setattr__(self, "_solver", SolverConfig(eps=self.eps, max_iter=self.solver_max_iter,
+                                                         tol=self.solver_tol))
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(eps=self.eps, max_iter=self.solver_max_iter, tol=self.solver_tol)
+        return self._solver
 
 
-@dataclass
+# the parameter blocks, in their order in the flat vector
+_BLOCKS = ("W_f", "W_g", "bias")
+
+
+def _block(index: int) -> property:
+    """The property of the index-th parameter block, a view of the flat
+    vector."""
+    def get(self):
+        return self._blocks[index]
+
+    def put(self, value):
+        blocks = list(self._blocks)
+        blocks[index] = value
+        self._adopt(*_flatten(blocks))
+    return property(get, put)
+
+
+def _flatten(blocks) -> tuple:
+    """The flat vector of W_f, W_g and bias, in that order, and their shapes."""
+    W_f, W_g, bias = blocks
+    blocks = (np.atleast_2d(np.asarray(W_f, dtype=float)),
+              np.atleast_2d(np.asarray(W_g, dtype=float)),
+              np.atleast_1d(np.asarray(bias, dtype=float)))
+    return np.concatenate([block.ravel() for block in blocks]), tuple(b.shape for b in blocks)
+
+
+def _split(flat: np.ndarray, shapes: tuple) -> tuple:
+    """Views of ``flat`` as consecutive blocks of the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return tuple(views)
+
+
 class ModelParams:
-    """Linear feature map plus linear-softmax classifier."""
+    """Linear feature map plus linear-softmax classifier.
 
-    W_f: np.ndarray
-    W_g: np.ndarray
-    bias: np.ndarray
+    W_f, W_g and bias are views of one flat vector ``theta``, in that order,
+    so an SGD step is one vector update.  Assigning a block moves the params
+    to a new flat vector that holds it.
+    """
 
-    def __post_init__(self):
-        self.W_f = np.atleast_2d(np.asarray(self.W_f, dtype=float))
-        self.W_g = np.atleast_2d(np.asarray(self.W_g, dtype=float))
-        self.bias = np.atleast_1d(np.asarray(self.bias, dtype=float))
-        for block in (self.W_f, self.W_g, self.bias):
-            if not np.isfinite(block).all():
-                raise ValueError("model parameters must be finite")
+    W_f, W_g, bias = _block(0), _block(1), _block(2)
+
+    def __init__(self, W_f, W_g, bias):
+        self._adopt(*_flatten((W_f, W_g, bias)))
+
+    @classmethod
+    def _from_flat(cls, theta: np.ndarray, shapes: tuple) -> "ModelParams":
+        """Params over ``theta`` itself, in blocks of ``shapes``."""
+        params = cls.__new__(cls)
+        params._adopt(theta, shapes)
+        return params
+
+    def _adopt(self, theta: np.ndarray, shapes: tuple) -> None:
+        if not np.isfinite(theta).all():
+            raise ValueError("model parameters must be finite")
+        self.theta, self.shapes = theta, shapes
+        self._blocks = _split(theta, shapes)
+
+    def __repr__(self) -> str:
+        return f"ModelParams(W_f={self.W_f!r}, W_g={self.W_g!r}, bias={self.bias!r})"
 
     @classmethod
     def init(cls, d: int, k: int, n_classes: int, rng: np.random.Generator) -> "ModelParams":
@@ -116,7 +169,7 @@ class ModelParams:
         return cls(W_f, np.zeros((n_classes, k)), np.zeros(n_classes))
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.W_f.copy(), self.W_g.copy(), self.bias.copy())
+        return ModelParams._from_flat(self.theta.copy(), self.shapes)
 
     def features(self, x: np.ndarray) -> np.ndarray:
         return np.atleast_2d(np.asarray(x, dtype=float)) @ self.W_f.T
@@ -165,21 +218,29 @@ class _Forward(NamedTuple):
     cost: np.ndarray
 
 
-def _forward(params: ModelParams, bs_x, bs_y, bt_x, cfg: TrainConfig) -> _Forward:
+def _forward(params: ModelParams, bs_x: np.ndarray, bs_y: np.ndarray, bt_x: np.ndarray,
+             cfg: TrainConfig) -> _Forward:
     """Features and softmaxes of the stacked source and target batches,
     feature distances, per-sample source losses and the feature-plus-label
-    alignment cost."""
-    bs_x = np.atleast_2d(bs_x)
-    x = np.concatenate([bs_x, np.atleast_2d(bt_x)], dtype=float)
-    bs_y = np.asarray(bs_y, dtype=int)
+    alignment cost.  The batches are 2-d float arrays and integer labels, as
+    _batch gives them."""
+    x = np.concatenate([bs_x, bt_x])
     n_s = len(bs_x)
     feats = params.features(x)
     probs = _class_probabilities(params, feats)
     nll = -np.log(np.maximum(probs, 1e-300))
     dist = cdist_euclidean(feats[:n_s], feats[n_s:])
-    # cross-entropy of each source one-hot label against each target prediction
-    cost = cfg.eta1 * dist + cfg.eta2 * nll[bs_y, n_s:]
+    # cross-entropy of each source one-hot label against each target
+    # prediction, scaled per class before it is spread over the batch
+    cost = (cfg.eta2 * nll[:, n_s:])[bs_y]
+    cost += cfg.eta1 * dist
     return _Forward(x, bs_y, n_s, feats, probs, dist, nll[bs_y, np.arange(n_s)], cost)
+
+
+def _batch(bs_x, bs_y, bt_x) -> tuple:
+    """A minibatch as _forward reads it: 2-d float inputs and integer labels."""
+    return (np.atleast_2d(np.asarray(bs_x, dtype=float)), np.asarray(bs_y, dtype=int),
+            np.atleast_2d(np.asarray(bt_x, dtype=float)))
 
 
 @lru_cache
@@ -207,8 +268,7 @@ def _solve(fwd: _Forward, alpha: float, cfg: TrainConfig):
     if n_bs == 0 or n_bt == 0:
         raise ValueError("batches must be nonempty")
     a, b, mass_limit = _marginals(n_bs, n_bt, cfg.beta)
-    alpha_eff = min(alpha, mass_limit)
-    plan = entropic_partial_ot(a, b, fwd.cost, alpha_eff, cfg.solver())
+    plan = entropic_partial_ot(a, b, fwd.cost, min(alpha, mass_limit), cfg.solver())
     return plan, WeightVector(plan.row_sums)
 
 
@@ -217,13 +277,16 @@ def _value(fwd: _Forward, plan_matrix: np.ndarray, source_weights: np.ndarray) -
 
 
 def _gradients(params: ModelParams, fwd: _Forward, plan_matrix: np.ndarray, col_mass: np.ndarray,
-               source_weights: np.ndarray, cfg: TrainConfig) -> dict:
-    """Gradients of the fixed-plan objective; ``col_mass`` is the plan's
-    column sums.  The logit, feature and parameter gradients are each formed
-    once over the stacked source and target rows."""
+               source_weights: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+    """Gradient of the fixed-plan objective, laid out as ``params.theta``;
+    ``col_mass`` is the plan's column sums.  The logit, feature and parameter
+    gradients are each formed once over the stacked source and target rows,
+    the parameter blocks straight into the flat vector."""
     n_s = fwd.n_s
     labels = _one_hot_table(params.W_g.shape[0])[:, fwd.bs_y]
     feats_s, feats_t = fwd.feats[:n_s], fwd.feats[n_s:]
+    grad = np.empty_like(params.theta)
+    dW_f, dW_g, dbias = _split(grad, params.shapes)
 
     # non-finite inputs are caught by the explicit check at the end
     with np.errstate(invalid="ignore", over="ignore"):
@@ -235,28 +298,35 @@ def _gradients(params: ModelParams, fwd: _Forward, plan_matrix: np.ndarray, col_
         # dz[:, n_s + j] = eta2 (colmass_j p_t[j] - sum_i plan_ij onehot_i)
         np.multiply(cfg.eta2, fwd.probs[:, n_s:] * col_mass - labels @ plan_matrix,
                     out=dz[:, n_s:])
-        dW_g = dz @ fwd.feats
-        dbias = dz.sum(axis=1)
+        np.matmul(dz, fwd.feats, out=dW_g)
+        dz.sum(axis=1, out=dbias)
         dfeats = dz.T @ params.W_g
 
         # feature part of the alignment cost: with s_ij = eta1 plan_ij / dist_ij,
         # sum_j s_ij (fs_i - ft_j) and sum_i s_ij (fs_i - ft_j) as matrix
-        # products.  Coincident features take the subgradient 0: their s is
-        # zeroed, since the products would leave a rounding residue of two
-        # cancelling terms of size eta1 plan_ij / 1e-12 there
-        scale = cfg.eta1 * plan_matrix / np.maximum(fwd.dist, 1e-12)
+        # products, each with eta1 times the features and a column of eta1
+        # that gives the sums of s.  Coincident features take the
+        # subgradient 0: their s is zeroed, since the products would leave a
+        # rounding residue of two cancelling terms of size
+        # eta1 plan_ij / 1e-12 there
+        scale = plan_matrix / np.maximum(fwd.dist, 1e-12)
         scale[fwd.dist == 0] = 0.0
-        dfeats[:n_s] += scale.sum(axis=1)[:, None] * feats_s - scale @ feats_t
-        dfeats[n_s:] -= scale.T @ feats_s - scale.sum(axis=0)[:, None] * feats_t
+        k = fwd.feats.shape[1]
+        feats_eta = np.empty((len(fwd.feats), k + 1))
+        np.multiply(fwd.feats, cfg.eta1, out=feats_eta[:, :k])
+        feats_eta[:, k] = cfg.eta1
+        to_t, to_s = scale @ feats_eta[n_s:], scale.T @ feats_eta[:n_s]
+        dfeats[:n_s] += to_t[:, k:] * feats_s - to_t[:, :k]
+        dfeats[n_s:] += to_s[:, k:] * feats_t - to_s[:, :k]
 
-        dW_f = dfeats.T @ fwd.x
-    grads = {"W_f": dW_f, "W_g": dW_g, "bias": dbias}
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise FloatingPointError(
-                f"non-finite gradient in {name}: "
-                f"|plan|={plan_matrix.sum():.3e} max|feat|={np.abs(feats_s).max():.3e}")
-    return grads
+        np.matmul(dfeats.T, fwd.x, out=dW_f)
+    if not np.isfinite(grad).all():
+        name = next(name for name, block in zip(_BLOCKS, (dW_f, dW_g, dbias))
+                    if not np.isfinite(block).all())
+        raise FloatingPointError(
+            f"non-finite gradient in {name}: "
+            f"|plan|={plan_matrix.sum():.3e} max|feat|={np.abs(feats_s).max():.3e}")
+    return grad
 
 
 def warmpot_objective(bs_x, bs_y, bt_x, params: ModelParams, alpha: float, cfg: TrainConfig):
@@ -265,7 +335,7 @@ def warmpot_objective(bs_x, bs_y, bt_x, params: ModelParams, alpha: float, cfg: 
     Returns (value, plan, source weights).  The weights are the plan's row
     sums; alpha is clamped to the feasible batch mass when necessary.
     """
-    fwd = _forward(params, bs_x, bs_y, bt_x, cfg)
+    fwd = _forward(params, *_batch(bs_x, bs_y, bt_x), cfg)
     plan, p_hat = _solve(fwd, alpha, cfg)
     return _value(fwd, plan.matrix, p_hat.values), plan, p_hat
 
@@ -274,14 +344,16 @@ def fixed_plan_value(params: ModelParams, bs_x, bs_y, bt_x, plan_matrix: np.ndar
                      source_weights: np.ndarray, cfg: TrainConfig) -> float:
     """Objective with the plan and source weights frozen; the function the
     gradient step differentiates."""
-    return _value(_forward(params, bs_x, bs_y, bt_x, cfg), plan_matrix, source_weights)
+    return _value(_forward(params, *_batch(bs_x, bs_y, bt_x), cfg), plan_matrix, source_weights)
 
 
 def fixed_plan_gradients(params: ModelParams, bs_x, bs_y, bt_x, plan_matrix: np.ndarray,
                          source_weights: np.ndarray, cfg: TrainConfig) -> dict:
     """Exact gradients of fixed_plan_value for every parameter block."""
-    return _gradients(params, _forward(params, bs_x, bs_y, bt_x, cfg), plan_matrix,
-                      plan_matrix.sum(axis=0), source_weights, cfg)
+    plan_matrix = np.asarray(plan_matrix, dtype=float)
+    grad = _gradients(params, _forward(params, *_batch(bs_x, bs_y, bt_x), cfg), plan_matrix,
+                      plan_matrix.sum(axis=0), np.asarray(source_weights, dtype=float), cfg)
+    return dict(zip(_BLOCKS, _split(grad, params.shapes)))
 
 
 def warmpot_step(params: ModelParams, bs_x, bs_y, bt_x, alpha: float, cfg: TrainConfig,
@@ -292,13 +364,12 @@ def warmpot_step(params: ModelParams, bs_x, bs_y, bt_x, alpha: float, cfg: Train
     competing weighting schemes); the alignment term is unchanged.
     Returns the updated params and a metrics record.
     """
-    fwd = _forward(params, bs_x, bs_y, bt_x, cfg)
+    fwd = _forward(params, *_batch(bs_x, bs_y, bt_x), cfg)
     plan, p_hat = _solve(fwd, alpha, cfg)
     weights = p_hat.values if source_weights is None else np.asarray(source_weights, dtype=float)
     value = _value(fwd, plan.matrix, weights)
-    grads = _gradients(params, fwd, plan.matrix, plan.col_sums, weights, cfg)
-    new = ModelParams(params.W_f - cfg.lr * grads["W_f"], params.W_g - cfg.lr * grads["W_g"],
-                      params.bias - cfg.lr * grads["bias"])
+    grad = _gradients(params, fwd, plan.matrix, plan.col_sums, weights, cfg)
+    new = ModelParams._from_flat(params.theta - cfg.lr * grad, params.shapes)
     info = {
         "objective": value,
         "plan_mass": float(plan.row_sums.sum()),
@@ -326,6 +397,13 @@ def _scheme_weights_full(scheme: str, ds: PdaDataset, params: ModelParams,
         feats_t = params.features(ds.target_x)
         return scheme_arpm(feats_s, feats_t, cfg.arpm).values
     raise ValueError(f"unknown weight scheme {scheme!r}")
+
+
+def _batch_weights(raw: np.ndarray) -> np.ndarray:
+    """A batch's full-dataset weights normalised to sum 1; uniform when they
+    sum to zero."""
+    total = raw.sum()
+    return raw / total if total > 0 else np.full(len(raw), 1.0 / len(raw))
 
 
 def class_labels(source_y) -> np.ndarray:
@@ -358,6 +436,12 @@ def train(ds: PdaDataset, cfg: TrainConfig):
         outlier_mask = np.array([y not in shared for y in source_y])
 
     scheme_full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
+    # uniform weights never change, so their batch weights are built once;
+    # the other schemes' weights follow the model
+    fixed = cfg.weight_scheme == "uniform"
+    batch_weights = _batch_weights(np.full(cfg.batch_size, scheme_full[0])) if fixed else None
+    refresh = scheme_full is not None and not fixed
+    replace_s, replace_t = cfg.batch_size > ds.n_s, cfg.batch_size > ds.n_t
     trace = []
     # an overflow or an invalid operation means the parameters have diverged;
     # it raises where it happens, and the error names the step
@@ -365,17 +449,14 @@ def train(ds: PdaDataset, cfg: TrainConfig):
         try:
             for it in range(cfg.total_iters):
                 alpha = alpha_schedule(it, cfg)
-                si = rng.choice(ds.n_s, size=cfg.batch_size, replace=cfg.batch_size > ds.n_s)
-                ti = rng.choice(ds.n_t, size=cfg.batch_size, replace=cfg.batch_size > ds.n_t)
+                si = rng.choice(ds.n_s, size=cfg.batch_size, replace=replace_s)
+                ti = rng.choice(ds.n_t, size=cfg.batch_size, replace=replace_t)
                 bs_x, bs_y, bt_x = ds.source_x[si], source_y[si], ds.target_x[ti]
 
-                if cfg.weight_scheme != "warmpot" and it % cfg.weight_update_every == 0 and it > 0:
-                    scheme_full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
-                batch_weights = None
-                if scheme_full is not None:
-                    raw = scheme_full[si]
-                    total = raw.sum()
-                    batch_weights = raw / total if total > 0 else np.full(len(si), 1.0 / len(si))
+                if refresh:
+                    if it % cfg.weight_update_every == 0 and it > 0:
+                        scheme_full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
+                    batch_weights = _batch_weights(scheme_full[si])
 
                 params, info = warmpot_step(params, bs_x, bs_y, bt_x, alpha, cfg, batch_weights)
                 row = {

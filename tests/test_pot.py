@@ -18,7 +18,13 @@ from potpda.pot import (
     entropic_partial_ot,
     exact_partial_ot,
 )
-from pot_oracles import brute_force_partial_ot, log_scaling_change, pw_distance
+from pot_oracles import (
+    brute_force_partial_ot,
+    log_scaling_change,
+    logsumexp,
+    pw_distance,
+    three_block_entropic,
+)
 
 # Oracle-confirmed instance: optimum fills the zero-cost cell to its row cap
 # and routes the remainder through the cheapest remaining cell.
@@ -69,37 +75,60 @@ def trainer_batch_instance(rng, m=64, n=64, dim=8, n_classes=5, beta=0.35):
     return np.full(m, 1.0 / (beta * m)), np.full(n, 1.0 / n), C, rng.uniform(0.01, 0.8)
 
 
-def reference_entropic(a, b, C, alpha, cfg):
-    """Log-domain Dykstra loop, three full-matrix log-sum-exps per sweep: the
-    oracle for the kernel-domain sweeps.
+def reference_log_level(log_c, log_b, log_alpha):
+    """log t with sum_j min(t c_j, b_j) = alpha, from the log column sums
+    and log caps: the oracle for the water level.
 
-    Each shifted matrix is built from the log kernel and the other two
-    scalings, so the -inf scalings of zero caps never meet an -inf plan entry
-    (-inf - -inf is NaN).
+    With the columns sorted by the level log(b_j / c_j) at which each fills
+    its cap, and the first k of them full, t_k = (alpha - their caps) /
+    (the other columns' sum); the answer is the first t_k that does not
+    fill column k, or the largest level when none is.  Columns whose cells
+    all overflowed (log c = -inf) never fill and carry nothing.
+    """
+    live = np.isfinite(log_c)
+    level = (log_b - log_c)[live]
+    order = np.argsort(level, kind="stable")
+    level, log_c, caps = level[order], log_c[live][order], np.exp(log_b[live][order])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_room = np.log(np.exp(log_alpha) - np.concatenate([[0.0], np.cumsum(caps)[:-1]]))
+    candidates = log_room - np.logaddexp.accumulate(log_c[::-1])[::-1]
+    unfilled = candidates <= level
+    return candidates[np.argmax(unfilled)] if unfilled.any() else level[-1]
+
+
+def reference_entropic(a, b, C, alpha, cfg):
+    """Log-domain two-block loop: the oracle for the kernel-domain sweeps.
+
+    Each sweep damps the rows onto their caps, then meets the column caps
+    and the total mass together at the water level of reference_log_level,
+    with full-matrix log-sum-exps throughout.  The shifted matrices are
+    built from the log kernel and the other scalings, so the -inf scalings
+    of zero caps never meet an -inf plan entry (-inf - -inf is NaN).
     """
     C = np.asarray(C, dtype=float)
     with np.errstate(divide="ignore"):
         log_a, log_b = np.log(a), np.log(b)
     log_alpha = np.log(alpha)
     L0 = -C / cfg.eps
-    L0 = L0 + (log_alpha - pot._logsumexp(L0))
+    L0 = L0 + (log_alpha - logsumexp(L0))
     log_u, log_v, log_s = np.zeros(len(a)), np.zeros(len(b)), 0.0
     for sweep in range(1, cfg.max_iter + 1):
         u_prev, v_prev, s_prev = log_u, log_v, log_s
-        shifted = L0 + log_v[None, :] + log_s
-        log_u = np.minimum(log_a - pot._logsumexp(shifted, axis=1), 0.0)
+        log_u = np.minimum(log_a - logsumexp(L0 + log_v[None, :] + log_s, axis=1), 0.0)
         log_u = np.where(np.isnan(log_u), 0.0, log_u)
-        shifted = L0 + log_u[:, None] + log_s
-        log_v = np.minimum(log_b - pot._logsumexp(shifted, axis=0), 0.0)
+        log_c = logsumexp(L0 + log_u[:, None], axis=0)
+        log_s = reference_log_level(log_c, log_b, log_alpha)
+        log_v = np.minimum(log_b - log_s - log_c, 0.0)
         log_v = np.where(np.isnan(log_v), 0.0, log_v)
-        shifted = L0 + log_u[:, None] + log_v[None, :]
-        log_s = log_alpha - pot._logsumexp(shifted)
         change = max(log_scaling_change(log_u, u_prev),
                      log_scaling_change(log_v, v_prev),
                      abs(log_s - s_prev))
         if change < cfg.tol:
-            return np.exp(shifted + log_s), True, sweep
-    return np.exp(shifted + log_s), False, cfg.max_iter
+            break
+    else:
+        sweep, change = cfg.max_iter, np.inf
+    plan = np.exp(L0 + log_u[:, None] + log_v[None, :] + log_s)
+    return plan, change < cfg.tol, sweep
 
 
 def reference_transport_lp(a, b, C):
@@ -430,6 +459,24 @@ class TestEntropicPartialOt:
         with pytest.raises(ValueError, match="eps=1e-310"):
             entropic_partial_ot(a, B2, C, ALPHA2, SolverConfig(eps=1e-310))
 
+    def test_eps_overflowing_to_plus_inf_rejected_before_any_sweep(self, monkeypatch):
+        # costs below zero: -C/eps is +inf on the diagonal, and subtracting
+        # that largest entry would leave a NaN kernel
+        def no_sweep(*args):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(pot, "_kernel_sweep", no_sweep)
+        C = np.array([[-1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(ValueError, match="eps=1e-310 is too small"):
+            entropic_partial_ot(B2, B2, C, 0.8, SolverConfig(eps=1e-310))
+
+    def test_scalings_beyond_double_resolution_flagged_not_converged(self):
+        # -C/eps spans 3e20: the log scalings this needs are stored to about
+        # 1e4, so sweeps that leave them unchanged certify nothing
+        C = np.array([[0.0, 1e20], [1e20, 3e20]])
+        plan = entropic_partial_ot(B2, B2, C, 0.8, SolverConfig(eps=1.0))
+        assert not plan.converged and plan.n_iter < 10
+
     def test_eps_overflowing_some_cells_still_solves(self):
         # only the zero-cost cells stay finite; they carry the whole plan
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -461,6 +508,104 @@ class TestEntropicPartialOt:
         assert not short.converged and short.n_iter == plan.n_iter - 1
         exact = entropic_partial_ot(A2, B2, C2, ALPHA2, SolverConfig(eps=0.05, max_iter=plan.n_iter))
         assert exact.converged and exact.n_iter == plan.n_iter
+
+
+def bisection_level(c, b, alpha):
+    """The least t with sum_j min(t c_j, b_j) >= alpha, by bisection."""
+    lo, hi = 0.0, float(np.max(b / c))
+    for _ in range(2000):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.minimum(mid * c, b).sum() >= alpha:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def water_level_cases():
+    """(c, b, alpha) triples: random ones, ties between levels, a single
+    column, and alpha equal to the column mass."""
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        c = rng.uniform(0.01, 1.0, n) * rng.choice([1e-6, 1.0, 1e3])
+        b = rng.uniform(0.01, 1.0, n)
+        if rng.random() < 0.3:
+            # several columns share one level
+            b[: n // 2] = c[: n // 2] * rng.uniform(0.5, 2.0)
+        if rng.random() < 0.2:
+            yield c, b, float(b.sum())
+        else:
+            yield c, b, float(rng.uniform(0.01, 1.0) * b.sum())
+    yield np.array([0.3]), np.array([0.2]), 0.1
+    yield np.array([0.3]), np.array([0.2]), 0.2
+    yield np.full(5, 0.1), np.full(5, 0.2), 0.7
+
+
+class TestWaterLevel:
+    @pytest.mark.parametrize("guess_scale", [0.0, 0.5, 1.0, 2.0, np.inf])
+    def test_matches_the_bisection_oracle(self, guess_scale):
+        # the level is exact whichever columns the previous sweep left full
+        for c, b, alpha in water_level_cases():
+            expected = bisection_level(c, b, alpha)
+            guess = guess_scale * expected if guess_scale < np.inf else np.inf
+            t = pot._water_level(c, b / c, b, alpha, guess)
+            assert t == pytest.approx(expected, rel=1e-12)
+            assert np.minimum(t * c, b).sum() == pytest.approx(alpha, rel=1e-12)
+
+    def test_log_form_matches_the_bisection_oracle(self):
+        for c, b, alpha in water_level_cases():
+            log_t = pot._log_water_level(np.log(c), np.log(b), np.log(alpha))
+            assert np.exp(log_t) == pytest.approx(bisection_level(c, b, alpha), rel=1e-12)
+
+    def test_log_form_beyond_float_range(self):
+        # the second column's sum is e^-2000 of the first's: the first fills
+        # its cap 0.1, and t e^-2000 = 0.4 carries the rest of alpha = 0.5
+        log_t = pot._log_water_level(np.array([0.0, -2000.0]), np.log([0.1, 0.9]), np.log(0.5))
+        assert log_t == pytest.approx(np.log(0.4) + 2000.0, rel=1e-15)
+
+    def test_column_whose_cells_all_overflowed_carries_nothing(self):
+        log_t = pot._log_water_level(np.array([np.log(0.5), -np.inf]), np.log([0.6, 0.4]),
+                                     np.log(0.3))
+        assert log_t == pytest.approx(np.log(0.6), rel=1e-15)
+
+
+class TestTwoBlockFixedPoint:
+    """Meeting the column caps and the total mass in one projection leaves
+    the fixed point of the three-block loop, which meets them in turn."""
+
+    @staticmethod
+    def assert_at_the_three_block_fixed_point(a, b, C, alpha, eps):
+        plan = entropic_partial_ot(a, b, C, alpha, SolverConfig(eps=eps))
+        expected, converged = three_block_entropic(a, b, C, alpha, eps, tol=1e-13)
+        assert plan.converged and converged
+        assert np.abs(plan.matrix - expected).max() <= 1e-8 * expected.max()
+        return plan
+
+    def test_random_geometry(self):
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            m, n = rng.integers(1, 12, size=2)
+            a, b, C, alpha = random_geometry_instance(rng, m=m, n=n, dim=3)
+            for eps in np.geomspace(0.02 * C.max(), 20.0, 3):
+                self.assert_at_the_three_block_fixed_point(a, b, C, alpha, eps)
+
+    @pytest.mark.parametrize("eps", [2.0, 0.05])
+    def test_trainer_batches(self, eps):
+        rng = np.random.default_rng(63)
+        for _ in range(4):
+            a, b, C, alpha = trainer_batch_instance(rng)
+            self.assert_at_the_three_block_fixed_point(a, b, C, alpha, eps)
+
+    @pytest.mark.parametrize("n, eps", [(200, 0.05), (1000, 0.5)])
+    def test_full_solve_instances(self, n, eps):
+        # the full-solve benchmark's instances: uniform points in [0, 4]^4
+        rng = np.random.default_rng(int(np.random.SeedSequence([0, 1]).generate_state(1)[0]))
+        x, y = rng.uniform(0.0, 4.0, size=(n, 4)), rng.uniform(0.0, 4.0, size=(n, 4))
+        self.assert_at_the_three_block_fixed_point(np.full(n, 1.0 / (0.8 * n)), np.full(n, 1.0 / n),
+                                                   cdist(x, y), 0.8, eps)
 
 
 class TestEntropicAgainstLogDomainLoop:
@@ -520,8 +665,8 @@ class TestEntropicAgainstLogDomainLoop:
         assert np.all(plan.matrix[a == 0] == 0) and np.all(plan.matrix[:, b == 0] == 0)
 
     def test_handoff_partway_through_a_trainer_sized_solve(self, monkeypatch):
-        # one row sits 662 eps above the rest: its kernel sums stay in range
-        # for the first sweeps and drop below it as the column scalings
+        # one row sits 662 eps above the rest: its kernel sum stays in range
+        # on the first sweep and drops below it once the column scalings
         # shrink, so the solve starts in kernel form and ends in log form
         kinds = []
         kernel_sweep = pot._kernel_sweep
@@ -541,12 +686,13 @@ class TestEntropicAgainstLogDomainLoop:
         assert kinds == ["kernel"] * handoff + ["underflow"]
 
     @pytest.mark.parametrize("offset, b, handoff_sweep", [(900.0, [0.4, 0.6], 0),
-                                                          (672.0, [0.3, 0.7], 3)])
+                                                          (671.8, [0.3, 0.7], 1)])
     def test_underflowing_kernel_hands_off_to_the_log_domain(self, monkeypatch, offset, b,
                                                              handoff_sweep):
         # the second row's costs sit `offset` eps above the first's: at 900
-        # its kernel row exp(-C/eps) is zero in double precision, at 672 it
-        # drops below range once the column scalings shrink
+        # its kernel row exp(-C/eps) is zero in double precision, at 671.8 its
+        # kernel sum drops below range on the second sweep, once the first
+        # sweep has shrunk the column scalings
         kinds = []
         kernel_sweep, log_sweep = pot._kernel_sweep, pot._log_sweep
 

@@ -103,14 +103,16 @@ class TestWarmpotObjective:
             (reference.matrix * D).sum(), abs=1e-9)
 
     def test_identical_batches_confident_model_near_zero(self):
-        # matching atoms cost nothing, so at small eps the objective vanishes
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(4, 2)) * 3
+        # matching atoms cost nothing, so at small eps the objective vanishes.
+        # Head row y is 5 x_y, and the four atoms point in four directions,
+        # so each atom's own class gets a logit 45 above every other
+        x = 3.0 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         y = np.arange(4)
         params = ModelParams(np.eye(2), np.zeros((4, 2)), np.zeros(4))
-        params.W_g = x[:, :2] * 5.0
+        params.W_g = x * 5.0
         cfg = TrainConfig(batch_size=4, eps=0.05, beta=1.0, **FAST)
-        value, _, _ = warmpot_objective(x, y, x, params, 1.0, cfg)
+        value, plan, _ = warmpot_objective(x, y, x, params, 1.0, cfg)
+        assert plan.converged
         assert value < 1e-2
 
     def test_plan_feasibility_per_minibatch(self):
@@ -171,10 +173,11 @@ class TestGradients:
         fwd = _forward(params, bs_x, bs_y, bt_x, cfg)
         assert np.any(fwd.dist == 0) == coincident
         plan, p_hat = _solve(fwd, 0.8, cfg)
-        grads = _gradients(params, fwd, plan.matrix, plan.col_sums, p_hat.values, cfg)
+        grad = _gradients(params, fwd, plan.matrix, plan.col_sums, p_hat.values, cfg)
+        grads = ModelParams._from_flat(grad, params.shapes)
         expected = difference_tensor_gradients(params, fwd, plan.matrix, p_hat.values, cfg)
         for name in ("W_f", "W_g", "bias"):
-            np.testing.assert_allclose(grads[name], expected[name], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(getattr(grads, name), expected[name], rtol=0, atol=1e-12)
 
     def test_pure_weighted_cross_entropy_when_alignment_off(self):
         rng = np.random.default_rng(5)
@@ -197,8 +200,41 @@ class TestGradients:
         bs_x, bs_y, bt_x, params = small_batch(rng)
         cfg = TrainConfig(batch_size=5, **FAST)
         bad_plan = np.full((5, 6), np.inf)
-        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+        with pytest.raises(FloatingPointError, match="non-finite gradient in W_f"):
             fixed_plan_gradients(params, bs_x, bs_y, bt_x, bad_plan, np.ones(5), cfg)
+
+
+class TestModelParams:
+    def test_blocks_are_views_of_one_flat_vector(self):
+        rng = np.random.default_rng(13)
+        _, _, _, params = small_batch(rng)
+        np.testing.assert_array_equal(
+            params.theta, np.concatenate([params.W_f.ravel(), params.W_g.ravel(), params.bias]))
+        params.W_f[1, 2] = 7.0
+        assert params.theta[5] == 7.0
+
+    def test_assigning_a_block_keeps_the_flat_vector_in_step(self):
+        rng = np.random.default_rng(14)
+        _, _, _, params = small_batch(rng)
+        W_f = params.W_f.copy()
+        params.W_g = np.ones((3, 2))
+        assert params.shapes == ((2, 3), (3, 2), (4,))
+        np.testing.assert_array_equal(params.theta[:6], W_f.ravel())
+        np.testing.assert_array_equal(params.theta[6:12], np.ones(6))
+        np.testing.assert_array_equal(params.W_g, np.ones((3, 2)))
+
+    def test_non_finite_block_rejected(self):
+        params = ModelParams(np.eye(2), np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="must be finite"):
+            params.bias = [0.0, np.nan]
+        with pytest.raises(ValueError, match="must be finite"):
+            ModelParams(np.eye(2), np.full((2, 2), np.inf), np.zeros(2))
+
+    def test_copy_owns_its_vector(self):
+        params = ModelParams(np.eye(2), np.zeros((2, 2)), np.zeros(2))
+        copy = params.copy()
+        copy.W_f[0, 0] = 3.0
+        assert params.W_f[0, 0] == 1.0
 
 
 class TestWarmpotStep:
@@ -298,6 +334,47 @@ class TestTrain:
             params, trace = train(ds, TrainConfig(weight_scheme=scheme, **base))
             assert len(trace) == 6
             assert np.all(np.isfinite(params.W_f))
+
+    def test_uniform_scheme_builds_its_weights_once(self, monkeypatch):
+        # uniform weights never change; ba3us weights are rebuilt every step
+        import potpda.warmpot as warmpot
+
+        calls = []
+        full_weights = warmpot._scheme_weights_full
+
+        def counted(scheme, *args):
+            calls.append(scheme)
+            return full_weights(scheme, *args)
+
+        monkeypatch.setattr(warmpot, "_scheme_weights_full", counted)
+        ds = generate_pda_task(TaskSpec(n_s=30, n_t=20, seed=3))
+        base = dict(total_iters=15, ramp_iters=5, batch_size=8, lr=0.02, eps=2.0, seed=1)
+        train(ds, TrainConfig(weight_scheme="uniform", **base))
+        assert calls == ["uniform"]
+        calls.clear()
+        train(ds, TrainConfig(weight_scheme="ba3us", **base))
+        assert calls == ["ba3us"] * 15
+
+    def test_batches_with_rows_under_their_caps_take_at_most_two_sweeps(self, monkeypatch):
+        # at the benchmark's training flags no row cap binds on most batches;
+        # where a column cap does, the first sweep's water level meets every
+        # constraint and the second finds the scalings unchanged.  The
+        # three-block loop took 5-51 sweeps on these batches
+        import potpda.warmpot as warmpot
+
+        plans = []
+
+        def recording(*args):
+            plans.append(entropic_partial_ot(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(warmpot, "entropic_partial_ot", recording)
+        train(generate_pda_task(TaskSpec(seed=3)),
+              TrainConfig(total_iters=200, ramp_iters=100, batch_size=64, lr=0.03, eps=2.0))
+        binding = [p for p in plans
+                   if (p.row_sums < 0.999 * p.row_caps).all() and (p.col_sums > 0.999 * p.col_caps).any()]
+        assert len(binding) >= 20
+        assert all(p.converged and p.n_iter <= 2 for p in binding)
 
     @pytest.mark.parametrize("label", [-1, 1.5])
     def test_labels_that_are_not_class_indices_rejected(self, label):
