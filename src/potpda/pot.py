@@ -301,45 +301,30 @@ def exact_partial_ot(a, b, C, alpha: float):
     return plan, plan.cost(C)
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None):
-    """Lean log-sum-exp; slices that are entirely -inf map to -inf."""
-    m = np.max(a, axis=axis, keepdims=True)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - safe), axis=axis, keepdims=True)) + safe
-    if axis is None:
-        return out.item()
-    return np.squeeze(out, axis=axis)
-
-
 def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) -> TransportPlan:
     """Approximate plan via Dykstra-corrected multiplicative scaling of exp(-C/eps).
 
     The kernel K is built once, in one buffer: -C/eps less its largest entry,
     one exponential, then a rescaling to total mass alpha.  The plan is
-    s * diag(u) K diag(v) for linear scalings u of the rows, v of the columns
-    and s of the total: the iterative Bregman projections of Benamou,
-    Carlier, Cuturi, Nenna and Peyre (2015), over two constraint blocks.
-    Each sweep undoes the previous cycle's scaling for a block, then
-    re-projects.  First the rows are damped onto their caps.  Then the
-    column caps and the total mass are met together, exactly: from the
-    column sums c of diag(u) K, the water level t with
-    sum_j min(t c_j, b_j) = alpha gives s = t and v_j = min(1, b_j / (t c_j)),
-    so each column either keeps the common level or fills its cap.
-    A zero cap forces its row or column of the plan to zero, so the sweeps
-    run on the block of rows and columns with positive caps, where every
-    scaling is positive, and the block plan is scattered into a zero matrix;
-    when every cap is positive the block is K itself.  A sweep is two
-    matrix-vector products with K, until a kernel sum of a row or a column,
-    or a scaling, reads below float range (tiny/eps).  Only then is the log
-    kernel log K built from C, written over K; that sweep is redone, and
-    every later one run, as log-sum-exps over it.  The plan is K scaled in
-    place.  Stops when the log scalings change by less than tol;
-    non-convergence within max_iter is flagged on the plan, not raised, and
-    so is a log-form sweep that stops with log scalings too large to resolve
-    tol.  ``n_iter`` counts sweeps.  Raises ValueError when eps is so small that
-    -C/eps overflows to +inf in any cell, or to -inf in every cell that can
-    carry mass.
+    s * diag(u) K diag(v) for scalings u of the rows, v of the columns and s
+    of the total: the iterative Bregman projections of Benamou, Carlier,
+    Cuturi, Nenna and Peyre (2015), over two constraint blocks.  Each sweep
+    damps the rows onto their caps, then meets the column caps and the total
+    mass together, exactly: from the column sums c of diag(u) K, the water
+    level t with sum_j min(t c_j, b_j) = alpha gives s = t and
+    v_j = min(1, b_j / (t c_j)).  A zero cap forces its row or column of the
+    plan to zero, so the sweeps run on the block of rows and columns with
+    positive caps, and the block plan is scattered into a zero matrix; when
+    every cap is positive the block is K itself.  A sweep is two
+    matrix-vector products with K.  One that meets a kernel sum or a scaling
+    out of float range runs from the costs instead, and its scalings are
+    absorbed into K (Schmitzer, 2019; Chizat, Peyre, Schmitzer and Vialard,
+    2018), so that the next runs as products again.  The plan is K scaled in
+    place.  Stops when the log scalings change by less than tol; not
+    converging within max_iter is flagged on the plan, not raised, and so are
+    log scalings too large to resolve tol.  ``n_iter`` counts sweeps.  Raises
+    ValueError when eps is so small that -C/eps overflows to +inf in any
+    cell, or to -inf in every cell that can carry mass.
     """
     cfg = cfg or SolverConfig()
     a, b, C, alpha = _check_inputs(a, b, C, alpha)
@@ -369,8 +354,7 @@ def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) 
 
     def log_kernel(out):
         """log K, the log-sum-exp-normalised -C/eps plus log(alpha), in ``out``."""
-        with np.errstate(over="ignore"):
-            np.divide(C if every_cap_positive else C[np.ix_(rows, cols)], -cfg.eps, out=out)
+        np.divide(C if every_cap_positive else C[np.ix_(rows, cols)], -cfg.eps, out=out)
         out += np.log(alpha) - (np.log(total) + top)
         return out
 
@@ -385,63 +369,112 @@ def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) 
     return plan
 
 
-# kernel sums and scalings below this have lost the precision of a double
-_KERNEL_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+# relative scalings and caps stay below the ceiling, so that kernel entries
+# lost to underflow stay negligible; kernel sums, with scalings up to it, and
+# scalings below the floor have lost the precision of a double
+_SCALING_CEIL = 2.0 ** 64
+_KERNEL_FLOOR = _SCALING_CEIL * np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _sweeps(K, log_kernel, a, b, alpha: float, cfg: SolverConfig):
-    """The plan on the positive-cap block, the sweep count and whether
-    successive log scalings became stationary within max_iter.
+    """The plan on the positive-cap block K, written over K, the sweep count
+    and whether the log scalings became stationary within max_iter.
 
-    ``K`` is the positive-cap block of the kernel, so ``a`` and ``b`` are
-    positive.  Sweeps run on K and linear scalings until the first one that
-    leaves float range; ``log_kernel`` then writes log K over K, and that sweep
-    is redone, and every later one run, in log form.  The plan overwrites K.
+    The plan is s diag(u) K diag(v) for relative scalings u, v and s; the
+    cumulative log scalings add those absorbed into K, at most 0 for rows
+    and columns, so the cap 1 on a cumulative scaling caps the relative one
+    at exp(-absorbed).  Log scalings whose size times 2^-52 exceeds tol are
+    swept from the costs only, and their plan is flagged as not converged.
     """
     m = len(a)
-    # the row scalings u = uv[:m] and the column scalings v = uv[m:]
-    uv, s = np.ones(m + len(b)), 1.0
-    for it in range(cfg.max_iter):
-        new = _kernel_sweep(K, a, b, alpha, uv[m:], s)
-        if new is None:
-            return _log_sweeps(log_kernel(K), np.log(a), np.log(b), np.log(alpha),
-                               np.log(uv[:m]), np.log(uv[m:]), math.log(s), it, cfg)
-        new_uv, new_s = new
-        ratio = new_uv / uv
-        change = max(math.log(ratio.max()), -math.log(ratio.min()), abs(math.log(new_s / s)))
-        uv, s = new
-        if change < cfg.tol:
-            n_iter, converged = it + 1, True
-            break
-    else:
-        n_iter, converged = cfg.max_iter, False
-    # scalings are at most 1, and a row or column pass by all ones is skipped
-    if uv[:m].min() < 1.0:
+    # nothing is absorbed yet, and every cap is 1
+    uv, s, logs, log_s, absorbed, h = np.ones(m + len(b)), 1.0, np.zeros(m + len(b)), 0.0, 0.0, 0.0
+    cap, n_iter, converged, resolved = uv, cfg.max_iter, False, True
+    # a kernel sum of 0 or a quotient past float range stands for its limit
+    with np.errstate(divide="ignore", over="ignore"):
+        for it in range(cfg.max_iter):
+            new = _kernel_sweep(K, a, b, alpha, uv[m:], s, cap) if resolved else None
+            if new is None:
+                new_logs, new_log_s = _absorbing_sweep(K, log_kernel, a, b, alpha, logs[m:], log_s)
+                absorbed, h, uv, s = new_logs, new_log_s, np.ones(m + len(b)), 1.0
+                resolved = max(-absorbed.min(), abs(h)) * np.finfo(float).eps < cfg.tol
+                if resolved:
+                    _absorb(K, log_kernel, absorbed[:m], absorbed[m:] + h)
+                    # a cap cut above the ceiling binds only out of range
+                    cap = np.exp(np.minimum(-absorbed, math.log(_SCALING_CEIL) + 1.0))
+            else:
+                uv, s = new
+                new_logs, new_log_s = np.log(uv) + absorbed, math.log(s) + h
+            change = max(np.abs(new_logs - logs).max(), abs(new_log_s - log_s))
+            logs, log_s = new_logs, new_log_s
+            if change < cfg.tol:
+                n_iter, converged = it + 1, resolved
+                break
+    if not resolved:
+        _absorb(K, log_kernel, absorbed[:m], absorbed[m:] + h)
+    # a pass by all ones is skipped
+    if (uv[:m] != 1.0).any():
         K *= uv[:m, None]
-    K *= uv[m:] * s if uv[m:].min() < 1.0 else s
+    K *= uv[m:] * s if (uv[m:] != 1.0).any() else s
     return K, n_iter, converged
 
 
-def _kernel_sweep(K, a, b, alpha, v, s):
+def _kernel_sweep(K, a, b, alpha, v, s, cap):
     """One sweep from the column scalings ``v`` and the total scaling ``s``,
-    as two matrix-vector products with the positive-cap block K: the new row
-    and column scalings in one array, and the new total scaling.  None when
-    a row or column sum or a new scaling falls below _KERNEL_FLOOR."""
+    as two matrix-vector products with K: the new row and column scalings,
+    capped by ``cap``, in one array, and the new total scaling.  None when
+    the columns whose sums are in range cannot meet alpha, or a new scaling
+    leaves [_KERNEL_FLOOR, _SCALING_CEIL).
+
+    A row or column sum below _KERNEL_FLOOR is imprecise, but so small that
+    any scaling in range leaves its row or column at its cap, with a mass
+    below rounding; a row sum of 0 makes its quotient infinite."""
     m = len(a)
     new = np.empty(m + len(b))
-    row_sums = K @ v
-    if row_sums.min() < _KERNEL_FLOOR:
-        return None
-    u = np.minimum(a / (s * row_sums), 1.0, out=new[:m])
+    u = np.minimum(a / (s * (K @ v)), cap[:m], out=new[:m])
     col_sums = u @ K
+    live = slice(None)
     if col_sums.min() < _KERNEL_FLOOR:
-        return None
+        live = col_sums >= _KERNEL_FLOOR
+        if b[live].sum() < alpha:
+            return None
+    # the column sums of diag(cumulative u) K0, relative to the absorbed total
+    col_sums *= cap[m:]
     level = b / col_sums
-    t = _water_level(col_sums, level, b, alpha, s)
+    t = _water_level(col_sums[live], level[live], b[live], alpha, s)
     np.minimum(level / t, 1.0, out=new[m:])
-    if new.min() < _KERNEL_FLOOR:
+    new[m:] *= cap[m:]
+    if not (_KERNEL_FLOOR <= min(new.min(), t) and max(new.max(), t) < _SCALING_CEIL):
         return None
     return new, t
+
+
+def _absorbing_sweep(K, log_kernel, a, b, alpha: float, log_v, log_s):
+    """The sweep of _kernel_sweep from the last sweep's cumulative log column
+    and total scalings, with the kernel sums taken from the costs over K's
+    buffer: the new cumulative log scalings of the rows and columns, in one
+    array, and of the total."""
+    log_u = np.minimum(np.log(a) - _absorb(K, log_kernel, 0.0, log_v + log_s, 1), 0.0)
+    log_c = _absorb(K, log_kernel, log_u, 0.0, 0)
+    log_b = np.log(b)
+    log_t = _log_water_level(log_c, log_b, math.log(alpha))
+    return np.concatenate([log_u, np.minimum(log_b - log_t - log_c, 0.0)]), log_t
+
+
+def _absorb(K, log_kernel, row, col, axis: int | None = None):
+    """Rebuild K from the costs as exp(log K0 + row_i + col_j), over its buffer.
+    With an ``axis``, each slice along it is first shifted to peak at 1, and
+    the log sums of the unshifted slices, -inf where all cells overflowed,
+    are returned."""
+    L = log_kernel(K)
+    L += np.reshape(row, (-1, 1))
+    L += col
+    if axis is not None:
+        top = L.max(axis=axis, keepdims=True)
+        top[top == -np.inf] = 0.0
+        L -= top
+    np.exp(L, out=L)
+    return None if axis is None else np.log(L.sum(axis=axis)) + top.ravel()
 
 
 def _water_level(c, level, b, alpha: float, guess: float) -> float:
@@ -497,39 +530,3 @@ def _log_water_level(log_c, log_b, log_alpha: float) -> float:
     log_t = (math.log(alpha - filled[k]) if alpha > filled[k] else -np.inf) - log_rest[k]
     # rounding may leave the interval the answer lies in
     return float(min(max(log_t, level[k - 1] if k else -np.inf), level[k]))
-
-
-def _log_sweeps(L0, log_a, log_b, log_alpha, log_u, log_v, log_s, start: int,
-                cfg: SolverConfig):
-    """Sweeps ``start`` onwards in log form over the log kernel L0, from the
-    log scalings of the last kernel sweep; returns what ``_sweeps`` does, the
-    plan overwriting L0.
-
-    A log scaling of size x is stored to about x * 2^-52.  When that exceeds
-    tol, as when -C/eps spans many orders of float range, a sweep that
-    leaves the scalings unchanged certifies nothing: the loop stops there
-    and flags the plan as not converged, as it would at max_iter."""
-    n_iter, converged = cfg.max_iter, False
-    for it in range(start, cfg.max_iter):
-        new_u, new_v, new_s = _log_sweep(L0, log_a, log_b, log_alpha, log_u, log_v, log_s)
-        change = max(np.max(np.abs(new_u - log_u)), np.max(np.abs(new_v - log_v)),
-                     abs(new_s - log_s))
-        log_u, log_v, log_s = new_u, new_v, new_s
-        if change < cfg.tol:
-            size = max(-log_u.min(), -log_v.min(), abs(log_s))
-            n_iter, converged = it + 1, bool(size * np.finfo(float).eps < cfg.tol)
-            break
-    L0 += log_u[:, None]
-    L0 += log_v + log_s
-    return np.exp(L0, out=L0), n_iter, converged
-
-
-def _log_sweep(L0, log_a, log_b, log_alpha, log_u, log_v, log_s):
-    """The same sweep as log-sum-exps over L0, for kernel sums that underflow.
-
-    A row or column whose cells all overflowed has a log-sum-exp of -inf and
-    takes the log scaling 0, the cap of the damping."""
-    log_u = np.minimum(log_a - log_s - _logsumexp(L0 + log_v[None, :], axis=1), 0.0)
-    log_c = _logsumexp(L0 + log_u[:, None], axis=0)
-    log_t = _log_water_level(log_c, log_b, log_alpha)
-    return log_u, np.minimum(log_b - log_t - log_c, 0.0), log_t

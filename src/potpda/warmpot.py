@@ -181,11 +181,18 @@ class ModelParams:
         return self.probabilities(x).argmax(axis=1)
 
 
-def _class_probabilities(params: ModelParams, feats: np.ndarray) -> np.ndarray:
-    """Softmax predictions with one column per sample and one row per class,
-    so the max and the sum over classes run along contiguous rows."""
+def _class_logits(params: ModelParams, feats: np.ndarray) -> np.ndarray:
+    """Logits less each sample's largest, with one column per sample and one
+    row per class, so the max and the sum over classes run along contiguous
+    rows."""
     z = params.W_g @ feats.T + params.bias[:, None]
     z -= z.max(axis=0)
+    return z
+
+
+def _class_probabilities(params: ModelParams, feats: np.ndarray) -> np.ndarray:
+    """Softmax predictions, laid out as _class_logits."""
+    z = _class_logits(params, feats)
     np.exp(z, out=z)
     z /= z.sum(axis=0)
     return z
@@ -227,9 +234,18 @@ def _forward(params: ModelParams, bs_x: np.ndarray, bs_y: np.ndarray, bt_x: np.n
     x = np.concatenate([bs_x, bt_x])
     n_s = len(bs_x)
     feats = params.features(x)
-    probs = _class_probabilities(params, feats)
-    nll = -np.log(np.maximum(probs, 1e-300))
+    z = _class_logits(params, feats)
+    probs = np.exp(z)
+    total = probs.sum(axis=0)
+    probs /= total
+    # the cross-entropy as log-sum-exp less the logit: exact where the
+    # softmax entry underflows, so it has the gradient _gradients takes
+    nll = np.log(total) - z
     dist = cdist_euclidean(feats[:n_s], feats[n_s:])
+    # features past float range give infinite distances without raising
+    if not math.isfinite(dist.max(initial=0.0)):
+        raise FloatingPointError(
+            f"non-finite feature distance: max|feat|={np.abs(feats).max():.3e}")
     # cross-entropy of each source one-hot label against each target
     # prediction, scaled per class before it is spread over the batch
     cost = (cfg.eta2 * nll[:, n_s:])[bs_y]

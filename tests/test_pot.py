@@ -643,76 +643,104 @@ class TestEntropicAgainstLogDomainLoop:
             a, b, C, alpha = trainer_batch_instance(rng)
             assert_matches_reference(a, b, C, alpha, SolverConfig(eps=eps))
 
-    def test_zero_caps_with_an_underflowing_row(self, monkeypatch):
-        # the positive-cap block hands off to the log form at once, since one
-        # of its rows sits 900 eps above the rest, and its plan is scattered
-        # back between the zero-cap rows and columns
+    @staticmethod
+    def record_sweeps(monkeypatch):
+        """A list that takes "kernel" for each sweep run as matrix-vector
+        products and "absorb" for each run from the costs, in order."""
+        kinds = []
+        kernel_sweep, absorbing_sweep = pot._kernel_sweep, pot._absorbing_sweep
+
+        def recording_kernel_sweep(*args):
+            new = kernel_sweep(*args)
+            if new is not None:
+                kinds.append("kernel")
+            return new
+
+        def recording_absorbing_sweep(*args):
+            kinds.append("absorb")
+            return absorbing_sweep(*args)
+
+        monkeypatch.setattr(pot, "_kernel_sweep", recording_kernel_sweep)
+        monkeypatch.setattr(pot, "_absorbing_sweep", recording_absorbing_sweep)
+        return kinds
+
+    @staticmethod
+    def assert_matches_reference_as_trained(a, b, C, alpha, cfg):
+        # training solves with overflow and invalid operations raising
+        with np.errstate(over="raise", invalid="raise"):
+            return assert_matches_reference(a, b, C, alpha, cfg)
+
+    def test_zero_caps_with_an_underflowing_row_and_column(self, monkeypatch):
+        # row 5 and column 7 of the positive-cap block sit 900 eps above the
+        # rest, so their kernel sums are 0 in double.  Row 5 need carry
+        # nothing, but alpha leaves the other columns less than their caps
+        # can take: the first sweep absorbs, and the plan is scattered back
+        # between the zero-cap rows and columns
+        kinds = self.record_sweeps(monkeypatch)
         rng = np.random.default_rng(45)
         a, b, C, _ = trainer_batch_instance(rng)
         a[[3, 17, 40]] = 0.0
         b[[0, 9, 63]] = 0.0
         C[5] += 900.0
-        shapes = []
-        log_sweep = pot._log_sweep
-
-        def recording_log_sweep(*args):
-            shapes.append(args[0].shape)
-            return log_sweep(*args)
-
-        monkeypatch.setattr(pot, "_log_sweep", recording_log_sweep)
-        plan = assert_matches_reference(a, b, C, 0.5, SolverConfig(eps=1.0))
-        assert plan.converged and shapes == [(61, 61)] * plan.n_iter
+        C[:, 7] += 900.0
+        plan = self.assert_matches_reference_as_trained(a, b, C, 0.95, SolverConfig(eps=1.0))
+        assert plan.converged and kinds[0] == "absorb"
+        assert plan.col_sums[7] > 0.01
         assert np.all(plan.matrix[a == 0] == 0) and np.all(plan.matrix[:, b == 0] == 0)
 
-    def test_handoff_partway_through_a_trainer_sized_solve(self, monkeypatch):
-        # one row sits 662 eps above the rest: its kernel sum stays in range
-        # on the first sweep and drops below it once the column scalings
-        # shrink, so the solve starts in kernel form and ends in log form
-        kinds = []
-        kernel_sweep = pot._kernel_sweep
-
-        def recording_kernel_sweep(*args):
-            new = kernel_sweep(*args)
-            kinds.append("kernel" if new is not None else "underflow")
-            return new
-
-        monkeypatch.setattr(pot, "_kernel_sweep", recording_kernel_sweep)
+    def test_absorbs_partway_through_a_trainer_sized_solve(self, monkeypatch):
+        # the rows from 10 on sit 700 eps above the first ten, whose caps
+        # take only 0.45 of alpha: the total scaling grows sweep by sweep
+        # until the kernel sums leave range, and the solve starts with
+        # matrix-vector products and absorbs partway
+        kinds = self.record_sweeps(monkeypatch)
         rng = np.random.default_rng(46)
         a, b, C, _ = trainer_batch_instance(rng)
-        C[5] += 66.2
-        plan = assert_matches_reference(a, b, C, 0.5, SolverConfig(eps=0.1))
-        handoff = kinds.index("underflow")
-        assert plan.converged and 0 < handoff < plan.n_iter
-        assert kinds == ["kernel"] * handoff + ["underflow"]
+        C[10:] += 70.0
+        plan = self.assert_matches_reference_as_trained(a, b, C, 0.8, SolverConfig(eps=0.1))
+        first = kinds.index("absorb")
+        assert plan.converged and 0 < first < plan.n_iter
+        assert kinds[:first] == ["kernel"] * first
 
-    @pytest.mark.parametrize("offset, b, handoff_sweep", [(900.0, [0.4, 0.6], 0),
-                                                          (671.8, [0.3, 0.7], 1)])
-    def test_underflowing_kernel_hands_off_to_the_log_domain(self, monkeypatch, offset, b,
-                                                             handoff_sweep):
-        # the second row's costs sit `offset` eps above the first's: at 900
-        # its kernel row exp(-C/eps) is zero in double precision, at 671.8 its
-        # kernel sum drops below range on the second sweep, once the first
-        # sweep has shrunk the column scalings
-        kinds = []
-        kernel_sweep, log_sweep = pot._kernel_sweep, pot._log_sweep
+    def test_costs_spanning_hundreds_to_thousands_of_eps(self, monkeypatch):
+        # small kernels that underflow: most solves absorb, some many times,
+        # as scalings cross the ceiling and caps cut to it come to bind
+        kinds = self.record_sweeps(monkeypatch)
+        rng = np.random.default_rng(1)
+        absorbing = 0
+        for _ in range(10):
+            m, n = rng.integers(2, 7, size=2)
+            C = rng.uniform(0, 1, (m, n)) * rng.choice([300.0, 600.0, 1000.0, 2000.0])
+            a = rng.uniform(0.5, 1.5, m)
+            a /= a.sum() / rng.uniform(0.5, 1.5)
+            b = rng.uniform(0.5, 1.5, n)
+            b /= b.sum()
+            alpha = rng.uniform(0.5, 1.0) * min(a.sum(), b.sum())
+            kinds.clear()
+            self.assert_matches_reference_as_trained(a, b, C, alpha,
+                                                     SolverConfig(eps=1.0, max_iter=3000))
+            absorbing += "absorb" in kinds
+        assert absorbing == 9
 
-        def recording_kernel_sweep(*args):
-            new = kernel_sweep(*args)
-            kinds.append("kernel" if new is not None else "underflow")
-            return new
-
-        def recording_log_sweep(*args):
-            kinds.append("log")
-            return log_sweep(*args)
-
-        monkeypatch.setattr(pot, "_kernel_sweep", recording_kernel_sweep)
-        monkeypatch.setattr(pot, "_log_sweep", recording_log_sweep)
-        a = np.array([0.5, 0.5])
-        C = np.array([[0.0, 1.0], [offset, offset + 1.0]])
-        plan = assert_matches_reference(a, np.array(b), C, 0.9, SolverConfig(eps=1.0))
-        # the underflowing sweep is redone in log form, and so is every later one
-        assert plan.converged and kinds == (["kernel"] * handoff_sweep + ["underflow"]
-                                            + ["log"] * (plan.n_iter - handoff_sweep))
+    @pytest.mark.parametrize("C, a, b, first_absorbing_sweep", [
+        # the second row's costs sit 900 or 671.8 eps above the first's:
+        # its kernel row is zero in double, or drops below range as the
+        # scalings move, and alpha needs it
+        pytest.param([[0.0, 1.0], [900.0, 901.0]], [0.5, 0.5], [0.4, 0.6], 74, id="row 900"),
+        pytest.param([[0.0, 1.0], [671.8, 672.8]], [0.5, 0.5], [0.3, 0.7], 73, id="row 671.8"),
+        # the same for the second column: the water level of the first sweep
+        # needs its log column sum
+        pytest.param([[0.0, 671.8], [1.0, 672.8]], [0.4, 0.6], [0.5, 0.5], 0, id="column 671.8"),
+        pytest.param([[0.0, 900.0], [1.0, 901.0]], [0.4, 0.6], [0.5, 0.5], 0, id="column 900"),
+        pytest.param([[0.0, 2000.0], [1.0, 2001.0]], [0.4, 0.6], [0.5, 0.5], 0,
+                     id="column 2000"),
+    ])
+    def test_underflowing_kernel_is_absorbed(self, monkeypatch, C, a, b, first_absorbing_sweep):
+        kinds = self.record_sweeps(monkeypatch)
+        plan = self.assert_matches_reference_as_trained(np.array(a), np.array(b), np.array(C), 0.9,
+                                                        SolverConfig(eps=1.0))
+        assert plan.converged and kinds.index("absorb") == first_absorbing_sweep
+        assert len(kinds) == plan.n_iter
         assert plan.max_violation() <= 1e-6
 
 

@@ -135,7 +135,6 @@ class TestRunAblation:
         rows = run_ablation(SMALL_SPEC, variants, [0])
         assert [r.label for r in rows] == ["beta=0.3", "beta=0.6", "beta=0.9"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failures_marked_not_raised(self):
         # a learning rate this large overflows the weights within a few steps
         bad_cfg = TrainConfig(total_iters=20, ramp_iters=10, batch_size=16,

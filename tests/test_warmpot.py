@@ -35,6 +35,18 @@ def small_batch(rng, n_s=5, n_t=6, d=3, n_classes=4):
 FAST = dict(solver_tol=1e-9, solver_max_iter=3000)
 
 
+def central_differences(params, name, value, h=1e-5):
+    """Central-difference gradient of ``value(params)`` in one parameter block."""
+    block = getattr(params, name)
+    numeric = np.zeros_like(block)
+    for idx in np.ndindex(block.shape):
+        plus, minus = params.copy(), params.copy()
+        getattr(plus, name)[idx] += h
+        getattr(minus, name)[idx] -= h
+        numeric[idx] = (value(plus) - value(minus)) / (2 * h)
+    return numeric
+
+
 def difference_tensor_gradients(params, fwd, plan_matrix, source_weights, cfg):
     """Oracle for the trainer's gradients: the feature part contracts the
     (m, n, k) difference tensor fs_i - ft_j, which is exactly zero at
@@ -142,21 +154,27 @@ class TestGradients:
             grads = fixed_plan_gradients(params, bs_x, bs_y, bt_x, plan.matrix,
                                          p_hat.values, cfg)
             for name in ("W_f", "W_g", "bias"):
-                block = getattr(params, name)
-                numeric = np.zeros_like(block)
-                it = np.nditer(block, flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    plus = params.copy()
-                    getattr(plus, name)[idx] += h
-                    minus = params.copy()
-                    getattr(minus, name)[idx] -= h
-                    numeric[idx] = (
-                        fixed_plan_value(plus, bs_x, bs_y, bt_x, plan.matrix, p_hat.values, cfg)
-                        - fixed_plan_value(minus, bs_x, bs_y, bt_x, plan.matrix, p_hat.values, cfg)
-                    ) / (2 * h)
+                numeric = central_differences(
+                    params, name,
+                    lambda p: fixed_plan_value(p, bs_x, bs_y, bt_x, plan.matrix, p_hat.values, cfg),
+                    h)
                 rel = np.abs(grads[name] - numeric).max() / max(np.abs(numeric).max(), 1e-12)
                 assert rel <= 1e-4, f"{name}: rel error {rel:.2e}"
+
+    def test_matches_central_differences_where_softmax_entries_underflow(self):
+        # head weights of +-400 drive target softmax entries to 0 in double;
+        # with eta1 = 0 and zero source weights only the label cost moves W_g
+        rng = np.random.default_rng(3)
+        bs_x, bs_y, bt_x = rng.normal(size=(4, 3)), rng.integers(0, 4, 4), rng.normal(size=(3, 3))
+        params = ModelParams(np.eye(2, 3), 400.0 * rng.choice([-1.0, 1.0], size=(4, 2)),
+                             np.zeros(4))
+        cfg = TrainConfig(batch_size=4, eta1=0.0, eps=2.0)
+        plan, weights = np.full((4, 3), 0.05), np.zeros(4)
+        assert params.probabilities(bt_x).min() == 0.0
+        grads = fixed_plan_gradients(params, bs_x, bs_y, bt_x, plan, weights, cfg)
+        numeric = central_differences(
+            params, "W_g", lambda p: fixed_plan_value(p, bs_x, bs_y, bt_x, plan, weights, cfg))
+        np.testing.assert_allclose(grads["W_g"], numeric, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("coincident", [False, True])
     def test_matches_the_difference_tensor_oracle(self, coincident):
@@ -256,6 +274,16 @@ class TestWarmpotStep:
         new, _ = warmpot_step(params, bs_x, bs_y, bt_x, 0.5, cfg)
         after = fixed_plan_value(new, bs_x, bs_y, bt_x, plan.matrix, p_hat.values, cfg)
         assert after < before
+
+    def test_features_past_float_range_raise_floating_point_error(self):
+        # the compiled distance kernel returns inf for features of 1e160
+        # without a numpy floating-point error
+        rng = np.random.default_rng(10)
+        bs_x, bs_y, bt_x, params = small_batch(rng)
+        params.W_f = 1e160 * np.eye(2, 3)
+        cfg = TrainConfig(batch_size=5, eps=2.0, **FAST)
+        with pytest.raises(FloatingPointError, match="non-finite feature distance"):
+            warmpot_step(params, bs_x, bs_y, bt_x, 0.5, cfg)
 
     def test_one_forward_pass_per_step(self, monkeypatch):
         # one model evaluation, on the source rows stacked over the target rows
