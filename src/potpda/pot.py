@@ -328,37 +328,39 @@ def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) 
     """
     cfg = cfg or SolverConfig()
     a, b, C, alpha = _check_inputs(a, b, C, alpha)
-    with np.errstate(over="ignore"):  # overflowed cells carry no mass
+    # overflowed cells carry no mass; in the sweeps, a kernel sum of 0 or a
+    # quotient past float range stands for its limit
+    with np.errstate(divide="ignore", over="ignore"):
         K = C / -cfg.eps
-    top = K.max()
-    every_cap_positive = a.min() > 0 and b.min() > 0
-    if not every_cap_positive:
-        rows, cols = a > 0, b > 0
-    # alpha > 0 leaves a positive cap on some row and some column; when every
-    # cap is positive, a finite largest entry is a cell that can carry mass
-    if not (-np.inf < top < np.inf
-            and (every_cap_positive or np.isfinite(K[np.ix_(rows, cols)]).any())):
-        raise ValueError(f"eps={cfg.eps} is too small for these costs: -C/eps overflows to "
-                         "+inf in some cell, or to -inf in every cell with a positive row "
-                         "and column cap")
-    K -= top
-    np.exp(K, out=K)
-    total = K.sum()
-    K *= alpha / total
+        top = K.max()
+        every_cap_positive = a.min() > 0 and b.min() > 0
+        if not every_cap_positive:
+            rows, cols = a > 0, b > 0
+        # alpha > 0 leaves a positive cap on some row and some column; when every
+        # cap is positive, a finite largest entry is a cell that can carry mass
+        if not (-np.inf < top < np.inf
+                and (every_cap_positive or np.isfinite(K[np.ix_(rows, cols)]).any())):
+            raise ValueError(f"eps={cfg.eps} is too small for these costs: -C/eps overflows to "
+                             "+inf in some cell, or to -inf in every cell with a positive row "
+                             "and column cap")
+        K -= top
+        np.exp(K, out=K)
+        total = K.sum()
+        K *= alpha / total
 
-    if every_cap_positive:
-        block_a, block_b = a, b
-    else:
-        K = K[np.ix_(rows, cols)]
-        block_a, block_b = a[rows], b[cols]
+        if every_cap_positive:
+            block_a, block_b = a, b
+        else:
+            K = K[np.ix_(rows, cols)]
+            block_a, block_b = a[rows], b[cols]
 
-    def log_kernel(out):
-        """log K, the log-sum-exp-normalised -C/eps plus log(alpha), in ``out``."""
-        np.divide(C if every_cap_positive else C[np.ix_(rows, cols)], -cfg.eps, out=out)
-        out += np.log(alpha) - (np.log(total) + top)
-        return out
+        def log_kernel(out):
+            """log K, the log-sum-exp-normalised -C/eps plus log(alpha), in ``out``."""
+            np.divide(C if every_cap_positive else C[np.ix_(rows, cols)], -cfg.eps, out=out)
+            out += np.log(alpha) - (np.log(total) + top)
+            return out
 
-    matrix, n_iter, converged = _sweeps(K, log_kernel, block_a, block_b, alpha, cfg)
+        matrix, n_iter, converged = _sweeps(K, log_kernel, block_a, block_b, alpha, cfg)
     if not every_cap_positive:
         full = np.zeros(C.shape)
         full[np.ix_(rows, cols)] = matrix
@@ -388,28 +390,28 @@ def _sweeps(K, log_kernel, a, b, alpha: float, cfg: SolverConfig):
     """
     m = len(a)
     # nothing is absorbed yet, and every cap is 1
-    uv, s, logs, log_s, absorbed, h = np.ones(m + len(b)), 1.0, np.zeros(m + len(b)), 0.0, 0.0, 0.0
+    uv, s, absorbed, h = np.ones(m + len(b)), 1.0, 0.0, 0.0
     cap, n_iter, converged, resolved = uv, cfg.max_iter, False, True
-    # a kernel sum of 0 or a quotient past float range stands for its limit
-    with np.errstate(divide="ignore", over="ignore"):
-        for it in range(cfg.max_iter):
-            new = _kernel_sweep(K, a, b, alpha, uv[m:], s, cap) if resolved else None
-            if new is None:
-                new_logs, new_log_s = _absorbing_sweep(K, log_kernel, a, b, alpha, logs[m:], log_s)
-                absorbed, h, uv, s = new_logs, new_log_s, np.ones(m + len(b)), 1.0
-                resolved = max(-absorbed.min(), abs(h)) * np.finfo(float).eps < cfg.tol
-                if resolved:
-                    _absorb(K, log_kernel, absorbed[:m], absorbed[m:] + h)
-                    # a cap cut above the ceiling binds only out of range
-                    cap = np.exp(np.minimum(-absorbed, math.log(_SCALING_CEIL) + 1.0))
-            else:
-                uv, s = new
-                new_logs, new_log_s = np.log(uv) + absorbed, math.log(s) + h
-            change = max(np.abs(new_logs - logs).max(), abs(new_log_s - log_s))
-            logs, log_s = new_logs, new_log_s
-            if change < cfg.tol:
-                n_iter, converged = it + 1, resolved
-                break
+    for it in range(cfg.max_iter):
+        new = _kernel_sweep(K, a, b, alpha, uv[m:], s, cap) if resolved else None
+        if new is None:
+            logs, log_s = np.log(uv) + absorbed, math.log(s) + h
+            absorbed, h = _absorbing_sweep(K, log_kernel, a, b, alpha, logs[m:], log_s)
+            change = max(np.abs(absorbed - logs).max(), abs(h - log_s))
+            uv, s = np.ones(m + len(b)), 1.0
+            resolved = max(-absorbed.min(), abs(h)) * np.finfo(float).eps < cfg.tol
+            if resolved:
+                _absorb(K, log_kernel, absorbed[:m], absorbed[m:] + h)
+                # a cap cut above the ceiling binds only out of range
+                cap = np.exp(np.minimum(-absorbed, math.log(_SCALING_CEIL) + 1.0))
+        else:
+            # the absorbed log scalings cancel from the change
+            ratio = new[0] / uv
+            change = max(math.log(ratio.max()), -math.log(ratio.min()), abs(math.log(new[1] / s)))
+            uv, s = new
+        if change < cfg.tol:
+            n_iter, converged = it + 1, resolved
+            break
     if not resolved:
         _absorb(K, log_kernel, absorbed[:m], absorbed[m:] + h)
     # a pass by all ones is skipped

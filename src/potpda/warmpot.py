@@ -17,7 +17,7 @@ import numpy as np
 
 from ._scipy_ext import cdist_euclidean
 from .measures import PdaDataset
-from .pot import SolverConfig, entropic_partial_ot
+from .pot import ENTROPIC_FEAS_TOL, SolverConfig, entropic_partial_ot
 from .weights import WeightVector, ArpmConfig, scheme_arpm, scheme_ba3us
 
 __all__ = [
@@ -378,17 +378,25 @@ def warmpot_step(params: ModelParams, bs_x, bs_y, bt_x, alpha: float, cfg: Train
 
     ``source_weights`` overrides the plan-derived weights (used by the
     competing weighting schemes); the alignment term is unchanged.
-    Returns the updated params and a metrics record.
+    Returns the updated params and a metrics record.  A plan whose mass
+    misses alpha by more than ENTROPIC_FEAS_TOL raises FloatingPointError.
     """
     fwd = _forward(params, *_batch(bs_x, bs_y, bt_x), cfg)
     plan, p_hat = _solve(fwd, alpha, cfg)
+    mass = float(plan.row_sums.sum())
+    # every sweep meets the mass, so a plan that misses it was swept from
+    # costs past the resolution of a double at eps
+    if abs(mass - plan.mass) > ENTROPIC_FEAS_TOL:
+        raise FloatingPointError(
+            f"entropic plan mass {mass:.3e} against alpha {plan.mass:.3e}: "
+            f"max cost {fwd.cost.max():.3e} at eps {cfg.eps:.3e}")
     weights = p_hat.values if source_weights is None else np.asarray(source_weights, dtype=float)
     value = _value(fwd, plan.matrix, weights)
     grad = _gradients(params, fwd, plan.matrix, plan.col_sums, weights, cfg)
     new = ModelParams._from_flat(params.theta - cfg.lr * grad, params.shapes)
     info = {
         "objective": value,
-        "plan_mass": float(plan.row_sums.sum()),
+        "plan_mass": mass,
         "solver_converged": plan.converged,
         "solver_iters": plan.n_iter,
         "alpha": plan.mass,

@@ -576,9 +576,7 @@ class TestTrainCommand:
 
 
     def test_diverging_training_names_the_iteration(self, tiny_task, tmp_path, capsys):
-        # at lr 1e30 the parameters settle near 3e59, each softmax saturated
-        # on the label the plan pairs it with; 1e200 overflows on step 1
-        code = main(["train", "--data", str(tiny_task), "--lr", "1e200", "--total-iters", "50",
+        code = main(["train", "--data", str(tiny_task), "--lr", "1e30", "--total-iters", "50",
                      "--ramp-iters", "25", "--batch-size", "16", "--out", str(tmp_path / "run")])
         captured = capsys.readouterr()
         assert code == 1
@@ -586,6 +584,14 @@ class TestTrainCommand:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and "Warning" not in lines[0]
         assert lines[0].startswith("error: training diverged at iteration ")
+
+    def test_parameters_overflowing_on_the_first_step_name_it(self, tiny_task, tmp_path, capsys):
+        code = main(["train", "--data", str(tiny_task), "--lr", "1e200", "--total-iters", "50",
+                     "--ramp-iters", "25", "--batch-size", "16", "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: training diverged at iteration 1: overflow ")
 
 
 class TestWeightsCommand:

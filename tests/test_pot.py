@@ -484,6 +484,16 @@ class TestEntropicPartialOt:
         assert plan.converged
         np.testing.assert_array_equal(plan.matrix, [[0.4, 0.0], [0.0, 0.4]])
 
+    def test_unresolved_plan_over_overflowing_cells_raises_nothing(self):
+        # -C/eps overflows to -inf in two cells and spans 2e10 in the
+        # others: the plan is rebuilt from the costs after the last sweep,
+        # and the trainer's errstate must not turn that overflow into an error
+        C = np.array([[0.0, 1.0], [1.0, 2e-300]])
+        with np.errstate(over="raise", invalid="raise"):
+            plan = entropic_partial_ot(B2, B2, C, 0.8, SolverConfig(eps=1e-310))
+        assert not plan.converged
+        assert plan.matrix[0, 1] == plan.matrix[1, 0] == 0.0
+
     def test_peak_memory_stays_near_one_cost_matrix(self):
         # the kernel is built, swept and turned into the plan in one buffer:
         # the solve's own allocations peak near the plan's size

@@ -285,6 +285,16 @@ class TestWarmpotStep:
         with pytest.raises(FloatingPointError, match="non-finite feature distance"):
             warmpot_step(params, bs_x, bs_y, bt_x, 0.5, cfg)
 
+    def test_plan_missing_its_mass_raises_floating_point_error(self):
+        # costs of 1e20 at eps 2 need log scalings that a double stores to
+        # about 1e4: the flagged plan's mass is far from alpha
+        rng = np.random.default_rng(10)
+        bs_x, bs_y, bt_x, params = small_batch(rng)
+        params.W_f = 1e20 * np.eye(2, 3)
+        cfg = TrainConfig(batch_size=5, eps=2.0, **FAST)
+        with pytest.raises(FloatingPointError, match="entropic plan mass .* against alpha 5.000e-01"):
+            warmpot_step(params, bs_x, bs_y, bt_x, 0.5, cfg)
+
     def test_one_forward_pass_per_step(self, monkeypatch):
         # one model evaluation, on the source rows stacked over the target rows
         rng = np.random.default_rng(9)
