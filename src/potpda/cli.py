@@ -323,10 +323,13 @@ def _cmd_bound_check(args, cfg: RunConfig, out_dir: Path) -> int:
 
 def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> int:
     ds = _load_task(args.data)
-    try:
-        class_labels(ds.source_y)
-    except ValueError as exc:
-        raise ConfigError(f"{args.data}: {exc}") from exc
+    for name, labels in (("source", ds.source_y), ("hidden target", ds.target_y_hidden)):
+        if labels is None:
+            continue
+        try:
+            class_labels(labels)
+        except ValueError as exc:
+            raise ConfigError(f"{args.data}: {name} {exc}") from exc
     params, trace = train(ds, cfg.train)
 
     trace_path = out_dir / "trace.csv"

@@ -51,7 +51,6 @@ class TrainConfig:
     lr: float = 0.001
     batch_size: int = 65
     seed: int = 0
-    feat_dim: int = 0  # 0 keeps the input dimension
     weight_scheme: str = "warmpot"  # one of SCHEMES
     weight_update_every: int = 1
     arpm: ArpmConfig = field(default_factory=ArpmConfig)
@@ -76,8 +75,6 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.feat_dim < 0:
-            raise ValueError("feat_dim must be nonnegative")
         if self.weight_scheme not in SCHEMES:
             raise ValueError(f"weight_scheme must be one of {', '.join(SCHEMES)}")
         if self.weight_update_every < 1:
@@ -96,25 +93,9 @@ _BLOCKS = ("W_f", "W_g", "bias")
 
 
 def _block(index: int) -> property:
-    """The property of the index-th parameter block, a view of the flat
-    vector."""
-    def get(self):
-        return self._blocks[index]
-
-    def put(self, value):
-        blocks = list(self._blocks)
-        blocks[index] = value
-        self._adopt(*_flatten(blocks))
-    return property(get, put)
-
-
-def _flatten(blocks) -> tuple:
-    """The flat vector of W_f, W_g and bias, in that order, and their shapes."""
-    W_f, W_g, bias = blocks
-    blocks = (np.atleast_2d(np.asarray(W_f, dtype=float)),
-              np.atleast_2d(np.asarray(W_g, dtype=float)),
-              np.atleast_1d(np.asarray(bias, dtype=float)))
-    return np.concatenate([block.ravel() for block in blocks]), tuple(b.shape for b in blocks)
+    """The read-only property of the index-th parameter block, a view of the
+    flat vector."""
+    return property(lambda self: self._blocks[index])
 
 
 def _split(flat: np.ndarray, shapes: tuple) -> tuple:
@@ -131,14 +112,18 @@ class ModelParams:
     """Linear feature map plus linear-softmax classifier.
 
     W_f, W_g and bias are views of one flat vector ``theta``, in that order,
-    so an SGD step is one vector update.  Assigning a block moves the params
-    to a new flat vector that holds it.
+    so an SGD step is one vector update.  The blocks cannot be assigned: a
+    block changes by a write through its view, or in new params.
     """
 
     W_f, W_g, bias = _block(0), _block(1), _block(2)
 
     def __init__(self, W_f, W_g, bias):
-        self._adopt(*_flatten((W_f, W_g, bias)))
+        blocks = (np.atleast_2d(np.asarray(W_f, dtype=float)),
+                  np.atleast_2d(np.asarray(W_g, dtype=float)),
+                  np.atleast_1d(np.asarray(bias, dtype=float)))
+        self._adopt(np.concatenate([block.ravel() for block in blocks]),
+                    tuple(block.shape for block in blocks))
 
     @classmethod
     def _from_flat(cls, theta: np.ndarray, shapes: tuple) -> "ModelParams":
@@ -157,16 +142,16 @@ class ModelParams:
         return f"ModelParams(W_f={self.W_f!r}, W_g={self.W_g!r}, bias={self.bias!r})"
 
     @classmethod
-    def init(cls, d: int, k: int, n_classes: int, rng: np.random.Generator) -> "ModelParams":
-        """Near-identity feature map and a zero classifier head.
+    def init(cls, d: int, n_classes: int, rng: np.random.Generator) -> "ModelParams":
+        """Square near-identity feature map and a zero classifier head.
 
         With uniform initial predictions the label part of the alignment cost
         is constant, so the first plans couple by raw input geometry; a
         confident random head would lock in arbitrary early couplings through
         the prediction-dependent cost.
         """
-        W_f = np.eye(k, d) + rng.normal(scale=0.01, size=(k, d))
-        return cls(W_f, np.zeros((n_classes, k)), np.zeros(n_classes))
+        W_f = np.eye(d) + rng.normal(scale=0.01, size=(d, d))
+        return cls(W_f, np.zeros((n_classes, d)), np.zeros(n_classes))
 
     def copy(self) -> "ModelParams":
         return ModelParams._from_flat(self.theta.copy(), self.shapes)
@@ -430,12 +415,12 @@ def _batch_weights(raw: np.ndarray) -> np.ndarray:
     return raw / total if total > 0 else np.full(len(raw), 1.0 / len(raw))
 
 
-def class_labels(source_y) -> np.ndarray:
-    """Source labels as class indices; the classifier head has one row per
-    index up to the largest, so labels must be nonnegative integers."""
-    y = np.asarray(source_y)
+def class_labels(labels) -> np.ndarray:
+    """Labels as class indices; the classifier head has one row per index up
+    to the largest, so labels must be nonnegative integers."""
+    y = np.asarray(labels)
     if not (np.issubdtype(y.dtype, np.number) and (y >= 0).all() and (y == np.floor(y)).all()):
-        raise ValueError("source labels must be nonnegative integers")
+        raise ValueError("labels must be nonnegative integers")
     return y.astype(int)
 
 
@@ -444,20 +429,16 @@ def train(ds: PdaDataset, cfg: TrainConfig):
 
     Returns the final params and a per-iteration trace.  When the dataset
     carries hidden target labels, the trace records the share of source weight
-    on classes absent from the target.  Source labels that are not
-    nonnegative integers raise ValueError; parameters that diverge raise
-    FloatingPointError naming the iteration.
+    on classes absent from the target.  Source or hidden target labels that
+    are not nonnegative integers raise ValueError; parameters that diverge
+    raise FloatingPointError naming the iteration.
     """
     source_y = class_labels(ds.source_y)
-    rng = np.random.default_rng(cfg.seed)
-    n_classes = int(source_y.max()) + 1
-    k = cfg.feat_dim or ds.dim
-    params = ModelParams.init(ds.dim, k, n_classes, rng)
-
     outlier_mask = None
     if ds.target_y_hidden is not None:
-        shared = set(np.unique(np.asarray(ds.target_y_hidden, dtype=int)).tolist())
-        outlier_mask = np.array([y not in shared for y in source_y])
+        outlier_mask = ~np.isin(source_y, class_labels(ds.target_y_hidden))
+    rng = np.random.default_rng(cfg.seed)
+    params = ModelParams.init(ds.dim, int(source_y.max()) + 1, rng)
 
     scheme_full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
     # uniform weights never change, so their batch weights are built once;

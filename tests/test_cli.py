@@ -195,9 +195,11 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [["--alpha", "0.5"], ["--solver-max", "7"],
-                                      ["--alpha", "0.5", "--solver-max", "7"]], ids=" ".join)
+                                      ["--alpha", "0.5", "--solver-max", "7"],
+                                      ["--feat-dim", "3"]], ids=" ".join)
     def test_prefix_of_a_flag_is_not_an_alias(self, tiny_task, tmp_path, capsys, argv):
-        # prefix matching would read these as --alpha-max and --solver-max-iter
+        # prefix matching would read the first three as --alpha-max and
+        # --solver-max-iter; the feature map is square, so no flag sets its size
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", str(tiny_task), "--out", str(out)] + argv)
@@ -212,9 +214,10 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
-    def test_unknown_config_key_in_file_exits_two(self, tiny_task, tmp_path, capsys):
+    @pytest.mark.parametrize("line", ["warp_speed = 9", "feat_dim = 3"])
+    def test_unknown_config_key_in_file_exits_two(self, tiny_task, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
-        bad.write_text("warp_speed = 9\n")
+        bad.write_text(line + "\n")
         code = main(["train", "--data", str(tiny_task), "--config", str(bad),
                      "--out", str(tmp_path / "out")])
         capsys.readouterr()
@@ -314,6 +317,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert str(bad) in err and "nonnegative integers" in err
+
+    def test_train_rejects_hidden_labels_that_are_not_class_indices(self, tiny_task, tmp_path,
+                                                                    capsys):
+        # 0.5 added to every hidden label, which the outlier mask would
+        # truncate back onto its class
+        lines = tiny_task.read_text().splitlines()
+        y = lines[0].split(",").index("y_hidden")
+        for k, line in enumerate(lines[1:], 1):
+            cells = line.split(",")
+            if cells[0] == "target":
+                cells[y] = repr(int(cells[y]) + 0.5)
+                lines[k] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--data", str(bad), "--out", str(tmp_path / "out")] + FAST_FLAGS)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err and "hidden target labels must be nonnegative integers" in err
+        assert not (tmp_path / "out" / "trace.csv").exists()
 
     def test_config_file_that_is_not_utf8_exits_two(self, tiny_task, tmp_path, capsys):
         bad = tmp_path / "cfg.txt"
