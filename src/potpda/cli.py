@@ -262,14 +262,16 @@ def _cmd_solve(args, cfg: RunConfig, out_dir: Path) -> int:
     if C.shape != (len(a), len(b)):
         raise ConfigError(f"{args.cost}: cost shape {C.shape} does not match "
                           f"len(a) = {len(a)} and len(b) = {len(b)}")
+    result = {}
     if args.method == "exact":
         plan, cost = exact_partial_ot(a, b, C, args.alpha)
     else:
         plan = entropic_partial_ot(a, b, C, args.alpha, cfg.train.solver())
         cost = plan.cost(C)
+        result["residual"] = plan.residual
     plan_path = out_dir / "plan.csv"
     np.savetxt(plan_path, plan.matrix, delimiter=",")
-    _emit({"cost": cost, "converged": plan.converged, "n_iter": plan.n_iter,
+    _emit({"cost": cost, "converged": plan.converged, "n_iter": plan.n_iter, **result,
            "max_violation": plan.max_violation(), "plan_path": str(plan_path)})
     return 0
 

@@ -26,13 +26,18 @@ __all__ = [
 ]
 
 
+def _integral(labels: np.ndarray) -> bool:
+    """Whether every label is a number with an integral value."""
+    return np.issubdtype(labels.dtype, np.number) and bool((labels == np.round(labels)).all())
+
+
 @dataclass(frozen=True)
 class PdaDataset:
     """Labeled source set plus unlabeled target inputs.
 
     ``target_y_hidden`` is evaluation-only ground truth; training code must
-    never read it.  For integer class labels the hidden target label set has
-    to be a subset of the source label set.
+    never read it.  When both label arrays hold integral values, whatever
+    their dtype, the hidden target labels must lie in the source label set.
     """
 
     source_x: np.ndarray
@@ -59,9 +64,10 @@ class PdaDataset:
             ty = np.asarray(self.target_y_hidden)
             if ty.shape != (tx.shape[0],):
                 raise ValueError("hidden target labels misaligned with target inputs")
-            if np.issubdtype(sy.dtype, np.integer) and np.issubdtype(ty.dtype, np.integer):
-                if not set(np.unique(ty)) <= set(np.unique(sy)):
-                    raise ValueError("hidden target labels outside the source label set")
+            # labels compare by value, whatever their dtype, once both are
+            # integral
+            if _integral(sy) and _integral(ty) and not np.isin(ty, sy).all():
+                raise ValueError("hidden target labels outside the source label set")
             object.__setattr__(self, "target_y_hidden", ty)
 
     @property

@@ -45,12 +45,15 @@ _SHORTLIST_K = 6
 class TransportPlan:
     """A coupling matrix together with the caps and mass it must respect.
 
-    ``n_iter`` is the solver's iteration count: entropic sweeps, or for exact
-    plans HiGHS's ``simplex_iteration_count`` summed over the shortlist's LP
-    rounds.  When the shortlist holds every cell there is one round, and the
-    count is the ``nit`` that scipy's ``method="highs"`` LP interface reports
-    on the dense LP.  ``row_sums`` and ``col_sums`` are computed once, at
-    construction, so the matrix must not change afterwards.
+    ``n_iter`` is the solver's iteration count: entropic sweeps begun, or for
+    exact plans HiGHS's ``simplex_iteration_count`` summed over the
+    shortlist's LP rounds.  When the shortlist holds every cell there is one
+    round, and the count is the ``nit`` that scipy's ``method="highs"`` LP
+    interface reports on the dense LP.  ``residual`` is the entropic stopping
+    residual of the plan (see entropic_partial_ot); NaN when no entropic
+    solve measured it.  ``row_sums`` and ``col_sums`` are computed once, at
+    construction, and the violation at its first use, so the matrix must not
+    change afterwards.
     """
 
     matrix: np.ndarray
@@ -59,8 +62,10 @@ class TransportPlan:
     mass: float
     converged: bool = True
     n_iter: int = 0
+    residual: float = math.nan
     row_sums: np.ndarray = field(init=False, repr=False, compare=False)
     col_sums: np.ndarray = field(init=False, repr=False, compare=False)
+    _violation: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
@@ -72,7 +77,12 @@ class TransportPlan:
 
     def max_violation(self) -> float:
         """Largest constraint violation: negativity, cap excess, or mass error;
-        infinite when an entry is not finite."""
+        infinite when an entry is not finite.  Measured at the first call."""
+        if self._violation is None:
+            object.__setattr__(self, "_violation", self._measure_violation())
+        return self._violation
+
+    def _measure_violation(self) -> float:
         p, row_sums = self.matrix, self.row_sums
         total = float(row_sums.sum())
         # a non-finite entry leaves its row sum, and so the total, non-finite
@@ -90,24 +100,29 @@ class TransportPlan:
             raise ValueError(f"infeasible transport plan: violation {v:.3e} > {tol:.0e}")
 
     def cost(self, C) -> float:
-        return float(np.sum(_cost_entries(C) * self.matrix))
+        C = _cost_entries(C)
+        if C.shape != self.matrix.shape:
+            raise ValueError(f"cost shape {C.shape} does not match the plan's {self.matrix.shape}")
+        return float(np.vdot(C, self.matrix))
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Entropic solver knobs; defaults follow the standard preset."""
+    """Entropic solver knobs; defaults follow the standard preset.  ``tol``
+    bounds the stopping residual, at most ENTROPIC_FEAS_TOL, so that a
+    converged plan passes its feasibility check."""
 
     eps: float = 7.0
     max_iter: int = 5000
-    tol: float = 1e-9
+    tol: float = 1e-7
 
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.max_iter < 1:
             raise ValueError("solver max_iter must be at least 1")
-        if not self.tol > 0:
-            raise ValueError("solver tol must be positive")
+        if not 0 < self.tol <= ENTROPIC_FEAS_TOL:
+            raise ValueError(f"solver tol must lie in (0, {ENTROPIC_FEAS_TOL:g}], got {self.tol}")
 
 
 def _cost_entries(C) -> np.ndarray:
@@ -320,14 +335,25 @@ def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) 
     out of float range runs from the costs instead, and its scalings are
     absorbed into K (Schmitzer, 2019; Chizat, Peyre, Schmitzer and Vialard,
     2018), so that the next runs as products again.  The plan is K scaled in
-    place.  Stops when the log scalings change by less than tol; not
-    converging within max_iter is flagged on the plan, not raised, and so are
-    log scalings too large to resolve tol.  ``n_iter`` counts sweeps.  Raises
+    place.
+
+    Each sweep begins by checking the current plan.  Its residual is the
+    largest of the cap excesses, the mass error and, for each row or column
+    whose scaling sits below its cap, the gap between its sum and its cap:
+    how far the plan is from the conditions the entropic optimum meets.  The
+    solve stops at the first check within tol, and ``n_iter`` counts the
+    sweeps begun, that check's included; the plan carries its residual.  Not
+    converging within max_iter sweeps is flagged on the plan, not raised,
+    and so are absorbed log scalings too large to resolve tol.  Raises
     ValueError when eps is so small that -C/eps overflows to +inf in any
     cell, or to -inf in every cell that can carry mass.
     """
-    cfg = cfg or SolverConfig()
-    a, b, C, alpha = _check_inputs(a, b, C, alpha)
+    return _entropic(*_check_inputs(a, b, C, alpha), cfg or SolverConfig())
+
+
+def _entropic(a, b, C, alpha: float, cfg: SolverConfig) -> TransportPlan:
+    """entropic_partial_ot on checked inputs: finite nonnegative caps that
+    admit the mass alpha > 0, and finite costs of matching shape."""
     # overflowed cells carry no mass; in the sweeps, a kernel sum of 0 or a
     # quotient past float range stands for its limit
     with np.errstate(divide="ignore", over="ignore"):
@@ -360,12 +386,13 @@ def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) 
             out += np.log(alpha) - (np.log(total) + top)
             return out
 
-        matrix, n_iter, converged = _sweeps(K, log_kernel, block_a, block_b, alpha, cfg)
+        matrix, n_iter, converged, residual = _sweeps(K, log_kernel, block_a, block_b, alpha, cfg)
     if not every_cap_positive:
         full = np.zeros(C.shape)
         full[np.ix_(rows, cols)] = matrix
         matrix = full
-    plan = TransportPlan(matrix, a, b, alpha, converged=converged, n_iter=n_iter)
+    plan = TransportPlan(matrix, a, b, alpha, converged=converged, n_iter=n_iter,
+                         residual=residual)
     if converged:
         plan.validate(ENTROPIC_FEAS_TOL)
     return plan
@@ -379,61 +406,82 @@ _KERNEL_FLOOR = _SCALING_CEIL * np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _sweeps(K, log_kernel, a, b, alpha: float, cfg: SolverConfig):
-    """The plan on the positive-cap block K, written over K, the sweep count
-    and whether the log scalings became stationary within max_iter.
+    """The plan on the positive-cap block K, written over K; the sweeps
+    begun; whether a check met tol within max_iter sweeps; and the plan's
+    residual.
 
     The plan is s diag(u) K diag(v) for relative scalings u, v and s; the
     cumulative log scalings add those absorbed into K, at most 0 for rows
     and columns, so the cap 1 on a cumulative scaling caps the relative one
-    at exp(-absorbed).  Log scalings whose size times 2^-52 exceeds tol are
-    swept from the costs only, and their plan is flagged as not converged.
+    at exp(-absorbed).  Each check reads the row sums from the product K v
+    that its sweep starts from.  The columns and the mass are read once, on
+    the kernel itself: every sweep's water level meets the column caps and
+    the mass, and an absorption rebuilds K from log scalings of size L,
+    whose plan then meets them to a relative L 2^-52.  When L 2^-52 exceeds
+    tol, no check could vouch for the columns, so such an absorption ends
+    the solve, flagged, with the residual of its whole plan.  The plan that
+    max_iter sweeps leave is checked too, for its residual.
     """
     m = len(a)
     # nothing is absorbed yet, and every cap is 1
     uv, s, absorbed, h = np.ones(m + len(b)), 1.0, 0.0, 0.0
-    cap, n_iter, converged, resolved = uv, cfg.max_iter, False, True
-    for it in range(cfg.max_iter):
-        new = _kernel_sweep(K, a, b, alpha, uv[m:], s, cap) if resolved else None
-        if new is None:
+    cap = uv
+    # the first check, on the kernel itself, with every scaling at its cap
+    Kv, col_sums = K @ uv[m:], uv[:m] @ K
+    residual = max(float((Kv - a).max()), float((col_sums - b).max()),
+                   abs(float(col_sums.sum()) - alpha))
+    for it in range(cfg.max_iter + 1):
+        if residual <= cfg.tol or it == cfg.max_iter:
+            break
+        new = _kernel_sweep(K, a, b, alpha, Kv, s, cap)
+        if new is not None:
+            uv, s = new
+        else:
             logs, log_s = np.log(uv) + absorbed, math.log(s) + h
             absorbed, h = _absorbing_sweep(K, log_kernel, a, b, alpha, logs[m:], log_s)
-            change = max(np.abs(absorbed - logs).max(), abs(h - log_s))
+            _absorb(K, log_kernel, absorbed[:m], absorbed[m:] + h)
+            if max(-absorbed.min(), abs(h)) * np.finfo(float).eps >= cfg.tol:
+                residual = max(_excess(K.sum(axis=1), a, absorbed[:m] < 0),
+                               _excess(K.sum(axis=0), b, absorbed[m:] < 0), abs(K.sum() - alpha))
+                return K, it + 1, False, residual
             uv, s = np.ones(m + len(b)), 1.0
-            resolved = max(-absorbed.min(), abs(h)) * np.finfo(float).eps < cfg.tol
-            if resolved:
-                _absorb(K, log_kernel, absorbed[:m], absorbed[m:] + h)
-                # a cap cut above the ceiling binds only out of range
-                cap = np.exp(np.minimum(-absorbed, math.log(_SCALING_CEIL) + 1.0))
-        else:
-            # the absorbed log scalings cancel from the change
-            ratio = new[0] / uv
-            change = max(math.log(ratio.max()), -math.log(ratio.min()), abs(math.log(new[1] / s)))
-            uv, s = new
-        if change < cfg.tol:
-            n_iter, converged = it + 1, resolved
-            break
-    if not resolved:
-        _absorb(K, log_kernel, absorbed[:m], absorbed[m:] + h)
-    # a pass by all ones is skipped
-    if (uv[:m] != 1.0).any():
-        K *= uv[:m, None]
-    K *= uv[m:] * s if (uv[m:] != 1.0).any() else s
-    return K, n_iter, converged
+            # a cap cut above the ceiling binds only out of range
+            cap = np.exp(np.minimum(-absorbed, math.log(_SCALING_CEIL) + 1.0))
+        # the next sweep's check
+        Kv = K @ uv[m:]
+        row_sums = Kv * uv[:m]
+        row_sums *= s
+        residual = _excess(row_sums, a, uv[:m] < cap[:m])
+    # with no sweep run, K is the plan; otherwise a pass by all ones is skipped
+    if it:
+        if (uv[:m] != 1.0).any():
+            K *= uv[:m, None]
+        K *= uv[m:] * s if (uv[m:] != 1.0).any() else s
+    # the last check, after max_iter sweeps, only measures the plan
+    return K, min(it + 1, cfg.max_iter), it < cfg.max_iter, residual
 
 
-def _kernel_sweep(K, a, b, alpha, v, s, cap):
-    """One sweep from the column scalings ``v`` and the total scaling ``s``,
-    as two matrix-vector products with K: the new row and column scalings,
-    capped by ``cap``, in one array, and the new total scaling.  None when
-    the columns whose sums are in range cannot meet alpha, or a new scaling
-    leaves [_KERNEL_FLOOR, _SCALING_CEIL).
+def _excess(sums, caps, free) -> float:
+    """The largest excess of ``sums`` over ``caps``, or 0; where ``free``,
+    a scaling sits below its cap, and a shortfall counts too."""
+    gap = sums - caps
+    np.abs(gap, out=gap, where=free)
+    return float(gap.max(initial=0.0))
+
+
+def _kernel_sweep(K, a, b, alpha, Kv, s, cap):
+    """One sweep from ``Kv``, the product of K with the column scalings, and
+    the total scaling ``s``, with one more matrix-vector product: the new
+    row and column scalings, capped by ``cap``, in one array, and the new
+    total scaling.  None when the columns whose sums are in range cannot
+    meet alpha, or a new scaling leaves [_KERNEL_FLOOR, _SCALING_CEIL).
 
     A row or column sum below _KERNEL_FLOOR is imprecise, but so small that
     any scaling in range leaves its row or column at its cap, with a mass
     below rounding; a row sum of 0 makes its quotient infinite."""
     m = len(a)
     new = np.empty(m + len(b))
-    u = np.minimum(a / (s * (K @ v)), cap[:m], out=new[:m])
+    u = np.minimum(a / (s * Kv), cap[:m], out=new[:m])
     col_sums = u @ K
     live = slice(None)
     if col_sums.min() < _KERNEL_FLOOR:

@@ -143,6 +143,7 @@ class TestSolveCommand:
         assert payload["converged"] is True
         assert payload["cost"] == pytest.approx(0.1, rel=0.02)
         assert 1 <= payload["n_iter"] < 5000
+        assert 0.0 <= payload["residual"] <= 1e-7
         assert 0.0 <= payload["max_violation"] <= 1e-6
 
     def test_infeasible_alpha_is_computation_failure(self, tmp_path, capsys):
@@ -208,8 +209,10 @@ class TestExitCodes:
         assert "unrecognized arguments" in captured.err and argv[0] in captured.err
         assert not out.exists()
 
-    def test_bad_config_value_exits_two(self, tiny_task, tmp_path, capsys):
-        code = main(["train", "--data", str(tiny_task), "--beta", "7",
+    @pytest.mark.parametrize("flag, value", [("--beta", "7"), ("--solver-tol", "1e-5")])
+    def test_bad_config_value_exits_two(self, tiny_task, tmp_path, capsys, flag, value):
+        # a solver tol past the feasibility check would let a converged plan fail it
+        code = main(["train", "--data", str(tiny_task), flag, value,
                      "--out", str(tmp_path / "out")])
         capsys.readouterr()
         assert code == 2
@@ -759,8 +762,10 @@ class TestBenchAndSweep:
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
     def test_bench_counts_the_nonconverged_steps_of_its_training_runs(self, tmp_path, capsys):
+        # one sweep per solve: seed 0 finishes with flagged steps, and seed 1
+        # stops on a flagged plan that breaks its caps, so it counts none
         flags = TINY_TASK_FLAGS + FAST_FLAGS + ["--solver-max-iter", "1"]
-        expected = 0
+        expected, finished = 0, []
         for seed in ("0", "1"):
             task = tmp_path / f"task{seed}"
             code, _ = run_cli(capsys, ["make-task", "--seed", seed, "--out", str(task)]
@@ -768,8 +773,10 @@ class TestBenchAndSweep:
             assert code == 0
             code, payload = run_cli(capsys, ["train", "--data", str(task / "task.csv"),
                                              "--seed", seed, "--out", str(tmp_path / "run")] + flags)
-            assert code == 0
-            expected += payload["solver_nonconverged"]
+            finished.append(code == 0)
+            if code == 0:
+                expected += payload["solver_nonconverged"]
+        assert finished == [True, False]
         code, payload = run_cli(capsys, ["bench", "--schemes", "warmpot", "--seeds", "2",
                                          "--out", str(tmp_path / "bench")] + flags)
         assert code == 0
@@ -777,6 +784,8 @@ class TestBenchAndSweep:
         with open(tmp_path / "bench" / "results.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
         assert row["solver_nonconverged"] == str(expected)
+        assert row["failures"].startswith("seed 1: FloatingPointError: training diverged at ")
+        assert "constraint violation" in row["failures"]
 
     def test_sweep_whose_seed_diverges_prints_null_and_marks_it(self, tmp_path, capsys):
         # the diverging flags of test_bench_prints_null_for_a_scheme_whose_seeds_all_fail

@@ -17,6 +17,7 @@ from potpda.measures import (
     load_dataset,
     save_dataset,
 )
+from potpda.synthbench import TaskSpec, generate_pda_task
 
 IDENTITY_2D = LinearFeatureMap(np.eye(2))
 
@@ -168,6 +169,19 @@ class TestPdaDataset:
     def test_hidden_subset_enforced_for_int_labels(self):
         with pytest.raises(ValueError, match="hidden target labels"):
             PdaDataset(np.zeros((2, 1)), np.array([0, 1]), np.zeros((2, 1)), np.array([0, 5]))
+
+    @pytest.mark.parametrize("source_dtype", [int, float])
+    def test_hidden_subset_enforced_for_integral_float_labels(self, source_dtype):
+        # the task's source labels are 0-3; the float form once skipped the check
+        ds = generate_pda_task(TaskSpec(n_s=20, n_t=15, seed=4))
+        with pytest.raises(ValueError, match="outside the source label set"):
+            PdaDataset(ds.source_x, ds.source_y.astype(source_dtype), ds.target_x,
+                       np.full(ds.n_t, 9))
+        with pytest.raises(ValueError, match="outside the source label set"):
+            PdaDataset(ds.source_x, ds.source_y, ds.target_x, np.full(ds.n_t, 9.0))
+        kept = PdaDataset(ds.source_x, ds.source_y.astype(source_dtype), ds.target_x,
+                          ds.target_y_hidden.astype(float))
+        np.testing.assert_array_equal(kept.target_y_hidden, ds.target_y_hidden)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from potpda.pot import (
 )
 from pot_oracles import (
     brute_force_partial_ot,
-    log_scaling_change,
     logsumexp,
     pw_distance,
     three_block_entropic,
@@ -96,14 +95,27 @@ def reference_log_level(log_c, log_b, log_alpha):
     return candidates[np.argmax(unfilled)] if unfilled.any() else level[-1]
 
 
+def reference_residual(plan, a, b, alpha, log_u, log_v):
+    """The stopping residual of the sweeps, from the whole plan: the largest
+    cap excess, mass error, and gap between a sum and its cap where the
+    log scaling is below 0."""
+    rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+    row_gap = np.where(log_u < 0, np.abs(rows - a), rows - a)
+    col_gap = np.where(log_v < 0, np.abs(cols - b), cols - b)
+    return max(row_gap.max(), col_gap.max(), abs(plan.sum() - alpha))
+
+
 def reference_entropic(a, b, C, alpha, cfg):
     """Log-domain two-block loop: the oracle for the kernel-domain sweeps.
 
-    Each sweep damps the rows onto their caps, then meets the column caps
-    and the total mass together at the water level of reference_log_level,
-    with full-matrix log-sum-exps throughout.  The shifted matrices are
-    built from the log kernel and the other scalings, so the -inf scalings
-    of zero caps never meet an -inf plan entry (-inf - -inf is NaN).
+    Each sweep begins by measuring the residual of reference_residual on the
+    current plan, and the loop stops at the first within cfg.tol, with that
+    sweep counted; a plan still outside it after max_iter sweeps is flagged.
+    A sweep damps the rows onto their caps, then meets the column caps and
+    the total mass together at the water level of reference_log_level, with
+    full-matrix log-sum-exps throughout.  The shifted matrices are built
+    from the log kernel and the other scalings, so the -inf scalings of zero
+    caps never meet an -inf plan entry (-inf - -inf is NaN).
     """
     C = np.asarray(C, dtype=float)
     with np.errstate(divide="ignore"):
@@ -113,22 +125,16 @@ def reference_entropic(a, b, C, alpha, cfg):
     L0 = L0 + (log_alpha - logsumexp(L0))
     log_u, log_v, log_s = np.zeros(len(a)), np.zeros(len(b)), 0.0
     for sweep in range(1, cfg.max_iter + 1):
-        u_prev, v_prev, s_prev = log_u, log_v, log_s
+        plan = np.exp(L0 + log_u[:, None] + log_v[None, :] + log_s)
+        if reference_residual(plan, a, b, alpha, log_u, log_v) <= cfg.tol:
+            return plan, True, sweep
         log_u = np.minimum(log_a - logsumexp(L0 + log_v[None, :] + log_s, axis=1), 0.0)
         log_u = np.where(np.isnan(log_u), 0.0, log_u)
         log_c = logsumexp(L0 + log_u[:, None], axis=0)
         log_s = reference_log_level(log_c, log_b, log_alpha)
         log_v = np.minimum(log_b - log_s - log_c, 0.0)
         log_v = np.where(np.isnan(log_v), 0.0, log_v)
-        change = max(log_scaling_change(log_u, u_prev),
-                     log_scaling_change(log_v, v_prev),
-                     abs(log_s - s_prev))
-        if change < cfg.tol:
-            break
-    else:
-        sweep, change = cfg.max_iter, np.inf
-    plan = np.exp(L0 + log_u[:, None] + log_v[None, :] + log_s)
-    return plan, change < cfg.tol, sweep
+    return np.exp(L0 + log_u[:, None] + log_v[None, :] + log_s), False, cfg.max_iter
 
 
 def reference_transport_lp(a, b, C):
@@ -510,6 +516,33 @@ class TestEntropicPartialOt:
         assert plan.converged
         assert peak <= 2 * C.nbytes
 
+    def test_kernel_that_meets_its_caps_runs_no_sweep(self, monkeypatch):
+        # the kernel scaled to alpha is the plan: its one check finds it
+        # within tol, and nothing rescales it
+        def no_sweep(*args):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(pot, "_kernel_sweep", no_sweep)
+        plan = entropic_partial_ot(A2, B2, np.zeros((2, 2)), 0.5, SolverConfig(eps=1.0))
+        assert plan.converged and plan.n_iter == 1 and plan.residual <= 1e-15
+        np.testing.assert_array_equal(plan.matrix, np.full((2, 2), 0.125))
+
+    def test_residual_is_the_plans_own(self):
+        # converged or flagged, the residual measures the returned plan: its
+        # cap excess and mass error, and the gap of each row or column below
+        # its cap whose scaling binds it there
+        rng = np.random.default_rng(48)
+        a, b, C, alpha = random_geometry_instance(rng, m=6, n=8)
+        cfg = SolverConfig(eps=0.05 * C.max())
+        plan = entropic_partial_ot(a, b, C, alpha, cfg)
+        assert plan.converged and plan.residual <= cfg.tol and plan.n_iter > 2
+        for max_iter in range(1, plan.n_iter):
+            short = entropic_partial_ot(a, b, C, alpha, SolverConfig(eps=cfg.eps, max_iter=max_iter))
+            assert not short.converged and short.max_violation() <= short.residual + 1e-15
+            # a flagged plan is measured after its last sweep, which checks
+            # no further
+            assert (short.residual <= cfg.tol) == (max_iter == plan.n_iter - 1)
+
     def test_n_iter_counts_sweeps(self):
         cfg = SolverConfig(eps=0.05)
         plan = entropic_partial_ot(A2, B2, C2, ALPHA2, cfg)
@@ -588,7 +621,7 @@ class TestTwoBlockFixedPoint:
 
     @staticmethod
     def assert_at_the_three_block_fixed_point(a, b, C, alpha, eps):
-        plan = entropic_partial_ot(a, b, C, alpha, SolverConfig(eps=eps))
+        plan = entropic_partial_ot(a, b, C, alpha, SolverConfig(eps=eps, tol=1e-12))
         expected, converged = three_block_entropic(a, b, C, alpha, eps, tol=1e-13)
         assert plan.converged and converged
         assert np.abs(plan.matrix - expected).max() <= 1e-8 * expected.max()
@@ -750,7 +783,8 @@ class TestEntropicAgainstLogDomainLoop:
         plan = self.assert_matches_reference_as_trained(np.array(a), np.array(b), np.array(C), 0.9,
                                                         SolverConfig(eps=1.0))
         assert plan.converged and kinds.index("absorb") == first_absorbing_sweep
-        assert len(kinds) == plan.n_iter
+        # the last sweep begun stops at its check
+        assert len(kinds) == plan.n_iter - 1
         assert plan.max_violation() <= 1e-6
 
 
@@ -800,3 +834,7 @@ class TestTransportPlanType:
             SolverConfig(eps=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+        # a converged plan must pass its feasibility check
+        with pytest.raises(ValueError, match="solver tol must lie in"):
+            SolverConfig(tol=2 * pot.ENTROPIC_FEAS_TOL)
+        assert SolverConfig(tol=pot.ENTROPIC_FEAS_TOL).tol == pot.ENTROPIC_FEAS_TOL

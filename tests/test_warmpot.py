@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from potpda.measures import PdaDataset
-from potpda.pot import entropic_partial_ot
+from potpda.pot import TransportPlan, entropic_partial_ot
 from potpda.synthbench import TaskSpec, generate_pda_task
 from potpda.warmpot import (
     ModelParams,
@@ -292,6 +292,24 @@ class TestWarmpotStep:
         with pytest.raises(FloatingPointError, match="entropic plan mass .* against alpha 5.000e-01"):
             warmpot_step(params, bs_x, bs_y, bt_x, 0.5, cfg)
 
+    def test_plan_breaking_a_cap_raises_floating_point_error(self, monkeypatch):
+        # a flagged plan that meets its mass but puts all of it on one row,
+        # past that row's cap 1/(beta n_s) = 0.571
+        import potpda.warmpot as warmpot
+
+        def one_row(a, b, C, alpha, cfg):
+            matrix = np.zeros(C.shape)
+            matrix[0] = alpha / C.shape[1]
+            return TransportPlan(matrix, a, b, alpha, converged=False, n_iter=cfg.max_iter)
+
+        monkeypatch.setattr(warmpot, "_entropic", one_row)
+        rng = np.random.default_rng(10)
+        bs_x, bs_y, bt_x, params = small_batch(rng)
+        cfg = TrainConfig(batch_size=5, eps=2.0, **FAST)
+        with pytest.raises(FloatingPointError,
+                           match="mass 8.000e-01 against alpha 8.000e-01, constraint violation 2.286e-01"):
+            warmpot_step(params, bs_x, bs_y, bt_x, 0.8, cfg)
+
     def test_one_forward_pass_per_step(self, monkeypatch):
         # one model evaluation, on the source rows stacked over the target rows
         rng = np.random.default_rng(9)
@@ -398,12 +416,13 @@ class TestTrain:
         import potpda.warmpot as warmpot
 
         plans = []
+        solve = warmpot._entropic
 
         def recording(*args):
-            plans.append(entropic_partial_ot(*args))
+            plans.append(solve(*args))
             return plans[-1]
 
-        monkeypatch.setattr(warmpot, "entropic_partial_ot", recording)
+        monkeypatch.setattr(warmpot, "_entropic", recording)
         train(generate_pda_task(TaskSpec(seed=3)),
               TrainConfig(total_iters=200, ramp_iters=100, batch_size=64, lr=0.03, eps=2.0))
         binding = [p for p in plans
@@ -440,7 +459,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("field, value", [
         ("weight_scheme", "bogus"), ("solver_max_iter", 0),
-        ("solver_tol", 0.0), ("solver_tol", -1.0), ("eps", float("nan")),
+        ("solver_tol", 0.0), ("solver_tol", -1.0), ("solver_tol", 1e-5), ("eps", float("nan")),
         ("lr", float("nan")), ("eta1", float("nan")), ("seed", -1),
     ])
     def test_config_rejects_what_the_command_line_rejects(self, field, value):
