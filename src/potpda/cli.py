@@ -55,7 +55,7 @@ class ConfigError(ValueError):
 
 # config key -> ArpmConfig field; every other TrainConfig field is its own key,
 # and each TaskSpec field but the shared seed is its key minus "task_"
-_ARPM_KEYS = {"arpm_rho": "rho", "arpm_steps": "subgradient_steps", "arpm_step_size": "step_size"}
+_ARPM_KEYS = {"arpm_rho": "rho"}
 _TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name != "arpm"]
 _TASK_FIELDS = [f.name for f in fields(TaskSpec) if f.name != "seed"]
 

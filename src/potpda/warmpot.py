@@ -38,6 +38,9 @@ __all__ = [
 
 ALPHA_START = 0.01
 SCHEMES = ("warmpot", "uniform", "ba3us", "arpm")
+# feature pairs closer than this times the batch's largest feature distance
+# take their alignment gradient from their differences (see _gradients)
+CLOSE_PAIR_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,8 @@ class _Forward(NamedTuple):
     Holds everything the plan solve, the objective value and the gradients
     read, so a training step maps its inputs through the model once: the
     ``n_s`` source rows and then the target rows of ``x``, stacked in one
-    array.  ``probs`` has one column per stacked row.
+    array.  ``probs`` has one column per stacked row, and ``dist_max`` is
+    the largest entry of ``dist``.
     """
 
     x: np.ndarray
@@ -209,6 +213,7 @@ class _Forward(NamedTuple):
     feats: np.ndarray
     probs: np.ndarray
     dist: np.ndarray
+    dist_max: float
     src_losses: np.ndarray
     cost: np.ndarray
 
@@ -230,15 +235,16 @@ def _forward(params: ModelParams, bs_x: np.ndarray, bs_y: np.ndarray, bt_x: np.n
     # softmax entry underflows, so it has the gradient _gradients takes
     nll = np.log(total) - z
     dist = cdist_euclidean(feats[:n_s], feats[n_s:])
+    dist_max = dist.max(initial=0.0)
     # features past float range give infinite distances without raising
-    if not math.isfinite(dist.max(initial=0.0)):
+    if not math.isfinite(dist_max):
         raise FloatingPointError(
             f"non-finite feature distance: max|feat|={np.abs(feats).max():.3e}")
     # cross-entropy of each source one-hot label against each target
     # prediction, scaled per class before it is spread over the batch
     cost = (cfg.eta2 * nll[:, n_s:])[bs_y]
     cost += cfg.eta1 * dist
-    return _Forward(x, bs_y, n_s, feats, probs, dist, nll[bs_y, np.arange(n_s)], cost)
+    return _Forward(x, bs_y, n_s, feats, probs, dist, dist_max, nll[bs_y, np.arange(n_s)], cost)
 
 
 def _batch(bs_x, bs_y, bt_x) -> tuple:
@@ -312,12 +318,13 @@ def _gradients(params: ModelParams, fwd: _Forward, plan_matrix: np.ndarray, col_
         # feature part of the alignment cost: with s_ij = eta1 plan_ij / dist_ij,
         # sum_j s_ij (fs_i - ft_j) and sum_i s_ij (fs_i - ft_j) as matrix
         # products, each with eta1 times the features and a column of eta1
-        # that gives the sums of s.  Coincident features take the
-        # subgradient 0: their s is zeroed, since the products would leave a
-        # rounding residue of two cancelling terms of size
-        # eta1 plan_ij / 1e-12 there
+        # that gives the sums of s.  The products leave a rounding residue of
+        # about eta1 plan_ij |f| 2^-52 / dist_ij from two cancelling terms, so
+        # close pairs are taken out of s and summed from their differences
+        # fs_i - ft_j below; coincident features take the subgradient 0 there
         scale = plan_matrix / np.maximum(fwd.dist, 1e-12)
-        scale[fwd.dist == 0] = 0.0
+        close = fwd.dist <= CLOSE_PAIR_RTOL * fwd.dist_max
+        scale[close] = 0.0
         k = fwd.feats.shape[1]
         feats_eta = np.empty((len(fwd.feats), k + 1))
         np.multiply(fwd.feats, cfg.eta1, out=feats_eta[:, :k])
@@ -325,6 +332,13 @@ def _gradients(params: ModelParams, fwd: _Forward, plan_matrix: np.ndarray, col_
         to_t, to_s = scale @ feats_eta[n_s:], scale.T @ feats_eta[:n_s]
         dfeats[:n_s] += to_t[:, k:] * feats_s - to_t[:, :k]
         dfeats[n_s:] += to_s[:, k:] * feats_t - to_s[:, :k]
+        # count_nonzero tests a boolean array faster than any()
+        if np.count_nonzero(close):
+            rows, cols = np.nonzero(close)
+            close_scale = cfg.eta1 * plan_matrix[close] / np.maximum(fwd.dist[close], 1e-12)
+            pull = close_scale[:, None] * (feats_s[rows] - feats_t[cols])
+            np.add.at(dfeats, rows, pull)
+            np.add.at(dfeats, n_s + cols, -pull)
 
         np.matmul(dfeats.T, fwd.x, out=dW_f)
     if not np.isfinite(grad).all():

@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 HIST_BINS = 20  # equal-width bins of [0, 1] in every weights_hist.csv
+ARPM_STEPS = 30  # projected-subgradient steps per scheme_arpm call
 
 
 @dataclass(frozen=True)
@@ -43,19 +44,13 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class ArpmConfig:
-    """Chi-square-ball weighting: radius rho and projected-subgradient knobs."""
+    """Chi-square-ball weighting: the ball's radius parameter rho."""
 
     rho: float = 5.0
-    subgradient_steps: int = 30
-    step_size: float = 0.1
 
     def __post_init__(self):
         if not self.rho >= 0:
             raise ValueError("arpm rho must be nonnegative")
-        if self.subgradient_steps < 1:
-            raise ValueError("arpm needs at least one subgradient step")
-        if not self.step_size > 0:
-            raise ValueError("arpm step size must be positive")
 
 
 def marginal_weights(plan: TransportPlan):
@@ -160,9 +155,12 @@ def scheme_arpm(source_feats, target_feats, cfg: ArpmConfig) -> WeightVector:
     - uniform, so the result is never worse than uniform;
     - the nearest-source weighting, which sends each target atom to its
       nearest source atom, projected onto the feasible set;
-    - the iterates of ``subgradient_steps`` projected subgradient steps from
-      uniform with step ``step_size / sqrt(k)``, whose subgradients are the
-      row duals of ``_w1_to_uniform_target``.
+    - the iterates of ``ARPM_STEPS`` projected subgradient steps from
+      uniform, whose subgradients are the row duals of
+      ``_w1_to_uniform_target``.  Step k (from 1) moves a distance
+      radius / sqrt(k) along the duals centred on the simplex, so the steps
+      are scaled to the ball whatever the scale of the costs.  Constant duals
+      mean the current point is optimal, and the loop stops there.
 
     The nearest-source weighting minimizes W1 over the whole simplex, so
     whenever it lies in the ball (always for rho >= n_s - 1) the result is
@@ -183,8 +181,12 @@ def scheme_arpm(source_feats, target_feats, cfg: ArpmConfig) -> WeightVector:
     val, _ = _w1_to_uniform_target(nearest, dist)
     if val < best_val:
         best_val, best = val, nearest
-    for step in range(cfg.subgradient_steps):
-        p = _project_delta(p - cfg.step_size / np.sqrt(step + 1.0) * duals, radius)
+    for step in range(ARPM_STEPS):
+        if np.ptp(duals) == 0.0:
+            break
+        direction = duals - duals.mean()
+        length = radius / np.sqrt(step + 1.0)
+        p = _project_delta(p - length / np.linalg.norm(direction) * direction, radius)
         val, duals = _w1_to_uniform_target(p, dist)
         if val < best_val:
             best_val, best = val, p

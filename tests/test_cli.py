@@ -197,10 +197,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["--alpha", "0.5"], ["--solver-max", "7"],
                                       ["--alpha", "0.5", "--solver-max", "7"],
-                                      ["--feat-dim", "3"]], ids=" ".join)
+                                      ["--feat-dim", "3"], ["--arpm-steps", "3"],
+                                      ["--arpm-step-size", "0.1"]], ids=" ".join)
     def test_prefix_of_a_flag_is_not_an_alias(self, tiny_task, tmp_path, capsys, argv):
         # prefix matching would read the first three as --alpha-max and
-        # --solver-max-iter; the feature map is square, so no flag sets its size
+        # --solver-max-iter; the feature map is square, so no flag sets its
+        # size, and arpm scales its fixed number of steps to its ball
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", str(tiny_task), "--out", str(out)] + argv)
@@ -217,7 +219,8 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.parametrize("line", ["warp_speed = 9", "feat_dim = 3"])
+    @pytest.mark.parametrize("line", ["warp_speed = 9", "feat_dim = 3", "arpm_steps = 3",
+                                      "arpm_step_size = 0.1"])
     def test_unknown_config_key_in_file_exits_two(self, tiny_task, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(line + "\n")
@@ -671,7 +674,6 @@ class TestWeightsCommand:
     def test_arpm_weights(self, tiny_task, tmp_path, capsys):
         code, payload = run_cli(capsys, ["weights", "--scheme", "arpm",
                                          "--data", str(tiny_task),
-                                         "--arpm-steps", "3",
                                          "--out", str(tmp_path / "w")])
         assert code == 0
         assert payload["total"] == pytest.approx(1.0, abs=1e-8)

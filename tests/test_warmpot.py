@@ -175,10 +175,12 @@ class TestGradients:
             params, "W_g", lambda p: fixed_plan_value(p, bs_x, bs_y, bt_x, plan, weights, cfg))
         np.testing.assert_allclose(grads["W_g"], numeric, rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("coincident", [False, True])
-    def test_matches_the_difference_tensor_oracle(self, coincident):
-        # a training batch, once against distinct targets and once against
-        # itself, where every diagonal pair of features coincides
+    @pytest.mark.parametrize("targets", ["distinct", "coincident", "nearly coincident"])
+    def test_matches_the_difference_tensor_oracle(self, targets):
+        # a training batch against distinct targets, against itself, where
+        # every diagonal pair of features coincides, and against itself plus
+        # noise, where diagonal pairs lie about 5e-13 apart and matrix
+        # products of the features would lose their differences to rounding
         ds = generate_pda_task(TaskSpec(n_s=200, n_t=150, seed=12))
         rng = np.random.default_rng(12)
         cfg = TrainConfig(batch_size=64, eps=2.0, **FAST)
@@ -186,9 +188,15 @@ class TestGradients:
         params = ModelParams(init.W_f, rng.normal(scale=0.5, size=init.W_g.shape), init.bias)
         si = rng.choice(ds.n_s, 64, replace=False)
         bs_x, bs_y = ds.source_x[si], ds.source_y[si]
-        bt_x = bs_x if coincident else ds.target_x[rng.choice(ds.n_t, 64, replace=False)]
+        if targets == "distinct":
+            bt_x = ds.target_x[rng.choice(ds.n_t, 64, replace=False)]
+        elif targets == "coincident":
+            bt_x = bs_x
+        else:
+            bt_x = bs_x + rng.normal(scale=1e-12, size=bs_x.shape)
         fwd = _forward(params, bs_x, bs_y, bt_x, cfg)
-        assert np.any(fwd.dist == 0) == coincident
+        assert np.any(fwd.dist == 0) == (targets == "coincident")
+        assert (fwd.dist.min() < 1e-12) == (targets != "distinct")
         plan, p_hat = _solve(fwd, 0.8, cfg)
         grad = _gradients(params, fwd, plan.matrix, plan.col_sums, p_hat.values, cfg)
         grads = ModelParams._from_flat(grad, params.shapes)
@@ -382,7 +390,7 @@ class TestTrain:
         ds = generate_pda_task(spec)
         base = dict(total_iters=6, ramp_iters=3, batch_size=8, lr=0.02, eps=2.0,
                     seed=1, solver_tol=1e-6, solver_max_iter=300,
-                    arpm=ArpmConfig(rho=1.0, subgradient_steps=3))
+                    arpm=ArpmConfig(rho=1.0))
         for scheme in ("ba3us", "arpm"):
             params, trace = train(ds, TrainConfig(weight_scheme=scheme, **base))
             assert len(trace) == 6

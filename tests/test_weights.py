@@ -131,7 +131,7 @@ class TestSchemeArpm:
         fs, ft = rng.normal(size=(6, 2)), rng.normal(size=(5, 2))
         dist = cdist(fs, ft)
         uniform_val, _ = _w1_to_uniform_target(np.full(6, 1 / 6), dist)
-        wv = scheme_arpm(fs, ft, ArpmConfig(rho=2.0, subgradient_steps=20))
+        wv = scheme_arpm(fs, ft, ArpmConfig(rho=2.0))
         val, _ = _w1_to_uniform_target(wv.values, dist)
         assert val <= uniform_val + 1e-12
 
@@ -140,7 +140,7 @@ class TestSchemeArpm:
         # by the target frequencies gives a zero-cost matching
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
         target = pts[[0, 0, 1]]
-        wv = scheme_arpm(pts, target, ArpmConfig(rho=50.0, subgradient_steps=80, step_size=0.2))
+        wv = scheme_arpm(pts, target, ArpmConfig(rho=50.0))
         val, _ = _w1_to_uniform_target(wv.values, cdist(pts, target))
         assert val <= 1e-3
         np.testing.assert_allclose(wv.values, [2 / 3, 1 / 3, 0.0], atol=0.05)
@@ -164,7 +164,7 @@ class TestSchemeArpm:
                     continue
                 val, _ = _w1_to_uniform_target(p, dist)
                 best = min(best, val)
-        wv = scheme_arpm(fs, ft, ArpmConfig(rho=rho, subgradient_steps=60, step_size=0.1))
+        wv = scheme_arpm(fs, ft, ArpmConfig(rho=rho))
         val, _ = _w1_to_uniform_target(wv.values, dist)
         assert val <= best * 1.01 + 1e-9
 
@@ -248,7 +248,7 @@ class TestSchemeArpm:
             n_s, n_t = rng.integers(3, 9, size=2)
             fs, ft = rng.normal(size=(n_s, 2)), rng.normal(size=(n_t, 2))
             dist = cdist(fs, ft)
-            wv = scheme_arpm(fs, ft, ArpmConfig(rho=float(n_s - 1), subgradient_steps=1))
+            wv = scheme_arpm(fs, ft, ArpmConfig(rho=float(n_s - 1)))
             val, _ = _w1_to_uniform_target(wv.values, dist)
             assert val == pytest.approx(float(dist.min(axis=0).mean()), abs=1e-9)
 
@@ -261,6 +261,28 @@ class TestSchemeArpm:
         assert wv.total == pytest.approx(1.0, abs=1e-9)
         val, _ = _w1_to_uniform_target(wv.values, dist)
         assert val == pytest.approx(float(dist.min(axis=0).mean()), abs=1e-9)
+
+    def test_binding_ball_on_the_default_task(self):
+        # at rho = 1 the nearest-source weighting lies outside the ball, so
+        # the subgradient steps decide the result; its W1, the minimum over
+        # the whole simplex, bounds the ball's minimum from below
+        ds = generate_pda_task(TaskSpec(seed=0))
+        dist = cdist(ds.source_x, ds.target_x)
+        wv = scheme_arpm(ds.source_x, ds.target_x, ArpmConfig(rho=1.0))
+        assert np.linalg.norm(wv.values - 1 / ds.n_s) <= np.sqrt(1.0 / ds.n_s) + 1e-12
+        val, _ = _w1_to_uniform_target(wv.values, dist)
+        assert val <= 1.3 * float(dist.min(axis=0).mean())
+
+    def test_identical_source_atoms_stop_at_uniform(self):
+        # every source atom has the same row duals, so the centred duals
+        # vanish and there is no direction to normalise; uniform is optimal
+        rng = np.random.default_rng(16)
+        fs, ft = np.tile([1.0, -2.0], (4, 1)), rng.normal(size=(3, 2))
+        wv = scheme_arpm(fs, ft, ArpmConfig(rho=0.5))
+        assert wv.values.min() >= 0.0 and wv.total == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(wv.values - 0.25) <= np.sqrt(0.5 / 4) + 1e-12
+        val, _ = _w1_to_uniform_target(wv.values, cdist(fs, ft))
+        assert val == pytest.approx(float(cdist(fs, ft)[0].mean()), abs=1e-12)
 
 
 class TestGammaConstrainedWeights:
