@@ -48,9 +48,10 @@ __all__ = [
 # bias range of the candidate grid built by FiniteClassifierSet.build
 CANDIDATE_BIAS_LOW = -0.5
 CANDIDATE_BIAS_HIGH = 1.5
-# random_bound_instance's default cap on each sample size, and its input-dimension cap
+# random_bound_instance's default sample-size cap, input-dimension cap and candidate count
 INSTANCE_N_MAX = 30
 INSTANCE_D_MAX = 3
+INSTANCE_CANDIDATES = 24
 # bound_check counts a slack below -CHECK_TOL as a violation
 CHECK_TOL = 1e-9
 # pac_bayes_experiment's sample sizes, family size, alignment knobs and posterior temperature
@@ -300,7 +301,7 @@ def optimal_lambda(n_t: int, kl: float, delta: float) -> float:
 
 
 def random_bound_instance(rng: np.random.Generator, n_max: int = INSTANCE_N_MAX,
-                          n_candidates: int = 25):
+                          n_candidates: int = INSTANCE_CANDIDATES):
     """Random certified instance for bound validity sweeps.
 
     Returns (hypothesis, dataset-with-hidden-labels, alpha, beta, gamma, G)
@@ -342,7 +343,7 @@ def bound_check(theorem: int, trials: int, seed: int) -> dict:
     records = []
     violations = 0
     for trial in range(trials):
-        w, ds, alpha, beta, gamma, G = random_bound_instance(rng, n_candidates=24)
+        w, ds, alpha, beta, gamma, G = random_bound_instance(rng)
         if theorem == 1:
             report = feature_bound_report(w, ds, alpha, beta, gamma, G)
         else:

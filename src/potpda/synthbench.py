@@ -9,7 +9,8 @@ import numpy as np
 
 from .measures import PdaDataset
 from .pot import entropic_partial_ot  # noqa: F401 - wrapped by name in perfbench/spans.py
-from .warmpot import ModelParams, TrainConfig, _batch, _forward, _solve, train
+from . import warmpot
+from .warmpot import ModelParams, TrainConfig, train
 from .weights import WeightVector, weight_histogram
 
 __all__ = [
@@ -112,8 +113,9 @@ def target_accuracy(params: ModelParams, ds: PdaDataset) -> float:
 
 def final_source_weights(params: ModelParams, ds: PdaDataset, cfg: TrainConfig):
     """End-of-training full-dataset plan weights, raw and cap-normalized."""
-    fwd = _forward(params, *_batch(ds.source_x, ds.source_y, ds.target_x), cfg)
-    _, p_hat = _solve(fwd, cfg.alpha_max, cfg)
+    # looked up on its module, where perfbench's traced run wraps it
+    _, _, p_hat = warmpot.warmpot_objective(ds.source_x, ds.source_y, ds.target_x, params,
+                                            cfg.alpha_max, cfg)
     return p_hat, np.clip(p_hat.values * cfg.beta * ds.n_s, 0.0, 1.0)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._scipy_ext import cdist_euclidean
 from .measures import PdaDataset
-from .pot import ENTROPIC_FEAS_TOL, SolverConfig, _cost_entries, _entropic
+from .pot import ENTROPIC_FEAS_TOL, SolverConfig, TransportPlan, _cost_entries, _entropic
 # the training step solves through the private core; the public solver stays
 # bound here, where perfbench's traced run looks it up
 from .pot import entropic_partial_ot  # noqa: F401
@@ -58,7 +58,6 @@ class TrainConfig:
     batch_size: int = 65
     seed: int = 0
     weight_scheme: str = "warmpot"  # one of SCHEMES
-    weight_update_every: int = 1
     arpm: ArpmConfig = field(default_factory=ArpmConfig)
     solver_max_iter: int = SolverConfig.max_iter
     solver_tol: float = SolverConfig.tol
@@ -83,8 +82,6 @@ class TrainConfig:
             raise ValueError("seed must be nonnegative")
         if self.weight_scheme not in SCHEMES:
             raise ValueError(f"weight_scheme must be one of {', '.join(SCHEMES)}")
-        if self.weight_update_every < 1:
-            raise ValueError("weight_update_every must be positive")
         # eps, solver_max_iter and solver_tol follow SolverConfig's rules; built
         # once, since every training step solves with it
         object.__setattr__(self, "_solver", SolverConfig(eps=self.eps, max_iter=self.solver_max_iter,
@@ -273,16 +270,15 @@ def _one_hot_table(n_classes: int) -> np.ndarray:
     return table
 
 
-def _solve(fwd: _Forward, alpha: float, cfg: TrainConfig):
-    """Entropic partial plan of the minibatch and its row sums as source weights."""
+def _solve(fwd: _Forward, alpha: float, cfg: TrainConfig) -> TransportPlan:
+    """Entropic partial plan of the minibatch; its row sums are the source weights."""
     n_bs, n_bt = fwd.cost.shape
     if n_bs == 0 or n_bt == 0:
         raise ValueError("batches must be nonempty")
     if not alpha > 0:
         raise ValueError("transported mass alpha must be positive")
     a, b, mass_limit = _marginals(n_bs, n_bt, cfg.beta)
-    plan = _entropic(a, b, _cost_entries(fwd.cost), min(alpha, mass_limit), cfg.solver())
-    return plan, WeightVector(plan.row_sums)
+    return _entropic(a, b, _cost_entries(fwd.cost), min(alpha, mass_limit), cfg.solver())
 
 
 def _value(fwd: _Forward, plan_matrix: np.ndarray, source_weights: np.ndarray) -> float:
@@ -357,8 +353,8 @@ def warmpot_objective(bs_x, bs_y, bt_x, params: ModelParams, alpha: float, cfg: 
     sums; alpha is clamped to the feasible batch mass when necessary.
     """
     fwd = _forward(params, *_batch(bs_x, bs_y, bt_x), cfg)
-    plan, p_hat = _solve(fwd, alpha, cfg)
-    return _value(fwd, plan.matrix, p_hat.values), plan, p_hat
+    plan = _solve(fwd, alpha, cfg)
+    return _value(fwd, plan.matrix, plan.row_sums), plan, WeightVector(plan.row_sums)
 
 
 def fixed_plan_value(params: ModelParams, bs_x, bs_y, bt_x, plan_matrix: np.ndarray,
@@ -383,33 +379,33 @@ def warmpot_step(params: ModelParams, bs_x, bs_y, bt_x, alpha: float, cfg: Train
 
     ``source_weights`` overrides the plan-derived weights (used by the
     competing weighting schemes); the alignment term is unchanged.
-    Returns the updated params and a metrics record.  A plan that breaks
-    its caps or misses its mass by more than ENTROPIC_FEAS_TOL raises
+    Returns the updated params and the step's trace record in trace.csv's
+    column order, ending with ``p_hat``, the plan's row sums.  A plan that
+    breaks its caps or misses its mass by more than ENTROPIC_FEAS_TOL raises
     FloatingPointError: such plans come from costs that span too many eps,
     as the parameters diverge.
     """
     fwd = _forward(params, *_batch(bs_x, bs_y, bt_x), cfg)
-    plan, p_hat = _solve(fwd, alpha, cfg)
+    plan = _solve(fwd, alpha, cfg)
     mass = float(plan.row_sums.sum())
     violation = plan.max_violation()
     if violation > ENTROPIC_FEAS_TOL:
         raise FloatingPointError(
             f"entropic plan mass {mass:.3e} against alpha {plan.mass:.3e}, constraint violation "
             f"{violation:.3e}: max cost {fwd.cost.max():.3e} at eps {cfg.eps:.3e}")
-    weights = p_hat.values if source_weights is None else np.asarray(source_weights, dtype=float)
+    weights = plan.row_sums if source_weights is None else np.asarray(source_weights, dtype=float)
     value = _value(fwd, plan.matrix, weights)
     grad = _gradients(params, fwd, plan.matrix, plan.col_sums, weights, cfg)
     new = ModelParams._from_flat(params.theta - cfg.lr * grad, params.shapes)
-    info = {
+    return new, {
+        "alpha": plan.mass,
         "objective": value,
         "plan_mass": mass,
-        "solver_converged": plan.converged,
+        "solver_converged": int(plan.converged),
         "solver_iters": plan.n_iter,
         "solver_residual": plan.residual,
-        "alpha": plan.mass,
-        "p_hat": p_hat.values,
+        "p_hat": plan.row_sums,
     }
-    return new, info
 
 
 def _scheme_weights_full(scheme: str, ds: PdaDataset, params: ModelParams,
@@ -481,22 +477,14 @@ def train(ds: PdaDataset, cfg: TrainConfig):
                 bs_x, bs_y, bt_x = ds.source_x[si], source_y[si], ds.target_x[ti]
 
                 if refresh:
-                    if it % cfg.weight_update_every == 0 and it > 0:
+                    if it > 0:
                         scheme_full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
                     batch_weights = _batch_weights(scheme_full[si])
 
-                params, info = warmpot_step(params, bs_x, bs_y, bt_x, alpha, cfg, batch_weights)
-                row = {
-                    "iter": it,
-                    "alpha": info["alpha"],
-                    "objective": info["objective"],
-                    "plan_mass": info["plan_mass"],
-                    "solver_converged": int(info["solver_converged"]),
-                    "solver_iters": info["solver_iters"],
-                    "solver_residual": info["solver_residual"],
-                }
+                params, record = warmpot_step(params, bs_x, bs_y, bt_x, alpha, cfg, batch_weights)
+                row = {"iter": it, **record}
+                p = row.pop("p_hat")
                 if outlier_mask is not None:
-                    p = info["p_hat"]
                     total = p.sum()
                     row["outlier_weight_share"] = float(p[outlier_mask[si]].sum() / total) if total > 0 else 0.0
                 trace.append(row)

@@ -198,11 +198,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["--alpha", "0.5"], ["--solver-max", "7"],
                                       ["--alpha", "0.5", "--solver-max", "7"],
                                       ["--feat-dim", "3"], ["--arpm-steps", "3"],
-                                      ["--arpm-step-size", "0.1"]], ids=" ".join)
+                                      ["--arpm-step-size", "0.1"],
+                                      ["--weight-update-every", "2"]], ids=" ".join)
     def test_prefix_of_a_flag_is_not_an_alias(self, tiny_task, tmp_path, capsys, argv):
         # prefix matching would read the first three as --alpha-max and
         # --solver-max-iter; the feature map is square, so no flag sets its
-        # size, and arpm scales its fixed number of steps to its ball
+        # size, arpm scales its fixed number of steps to its ball, and the
+        # model-following schemes refresh their weights on every step
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", str(tiny_task), "--out", str(out)] + argv)
@@ -220,7 +222,7 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("line", ["warp_speed = 9", "feat_dim = 3", "arpm_steps = 3",
-                                      "arpm_step_size = 0.1"])
+                                      "arpm_step_size = 0.1", "weight_update_every = 2"])
     def test_unknown_config_key_in_file_exits_two(self, tiny_task, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(line + "\n")
@@ -593,6 +595,15 @@ class TestTrainCommand:
             assert payload["solver_nonconverged"] > 0
         else:
             assert payload["solver_nonconverged"] == 0 and max(iters) > 1
+
+    def test_trace_header_follows_the_readme_column_order(self, tiny_task, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, _ = run_cli(capsys, ["train", "--data", str(tiny_task), "--out", str(out)]
+                          + FAST_FLAGS)
+        assert code == 0
+        header = (out / "trace.csv").read_text().splitlines()[0]
+        assert header == ("iter,alpha,objective,plan_mass,solver_converged,solver_iters,"
+                          "solver_residual,outlier_weight_share")
 
     def test_deterministic_trace_bytes(self, tiny_task, tmp_path, capsys):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -197,10 +197,10 @@ class TestGradients:
         fwd = _forward(params, bs_x, bs_y, bt_x, cfg)
         assert np.any(fwd.dist == 0) == (targets == "coincident")
         assert (fwd.dist.min() < 1e-12) == (targets != "distinct")
-        plan, p_hat = _solve(fwd, 0.8, cfg)
-        grad = _gradients(params, fwd, plan.matrix, plan.col_sums, p_hat.values, cfg)
+        plan = _solve(fwd, 0.8, cfg)
+        grad = _gradients(params, fwd, plan.matrix, plan.col_sums, plan.row_sums, cfg)
         grads = ModelParams._from_flat(grad, params.shapes)
-        expected = difference_tensor_gradients(params, fwd, plan.matrix, p_hat.values, cfg)
+        expected = difference_tensor_gradients(params, fwd, plan.matrix, plan.row_sums, cfg)
         for name in ("W_f", "W_g", "bias"):
             np.testing.assert_allclose(getattr(grads, name), expected[name], rtol=0, atol=1e-12)
 
