@@ -300,6 +300,14 @@ def optimal_lambda(n_t: int, kl: float, delta: float) -> float:
     return math.sqrt(8.0 * n_t * (kl + math.log(1.0 / delta)))
 
 
+class _RealLabelDataset(PdaDataset):
+    """A dataset whose labels are real values in [0, 1] on both sides, so
+    the class-label subset check does not apply, even when the clipped
+    labels all come out 0 or 1."""
+
+    _class_labels = False
+
+
 def random_bound_instance(rng: np.random.Generator, n_max: int = INSTANCE_N_MAX,
                           n_candidates: int = INSTANCE_CANDIDATES):
     """Random certified instance for bound validity sweeps.
@@ -327,7 +335,7 @@ def random_bound_instance(rng: np.random.Generator, n_max: int = INSTANCE_N_MAX,
         clean = np.clip(f(x) @ labeler_v + 0.5, 0.0, 1.0)
         return np.clip(clean + rng.normal(scale=0.1, size=len(clean)), 0.0, 1.0)
 
-    ds = PdaDataset(source_x, make_labels(source_x), target_x, make_labels(target_x))
+    ds = _RealLabelDataset(source_x, make_labels(source_x), target_x, make_labels(target_x))
     alpha = float(rng.uniform(1e-3, 1.0))
     beta = float(rng.uniform(1e-3, 1.0))
     G = FiniteClassifierSet.build(gamma, k, n_candidates, rng)
@@ -408,7 +416,7 @@ def pac_bayes_experiment(trials: int, delta: float, seed: int) -> dict:
     for _ in range(trials):
         si = trial_rng.integers(0, pool_n, size=PAC_N_S)
         ti = trial_rng.integers(0, pool_n, size=PAC_N_T)
-        ds = PdaDataset(src_pool_x[si], src_pool_y[si], tgt_pool_x[ti], tgt_pool_y[ti])
+        ds = _RealLabelDataset(src_pool_x[si], src_pool_y[si], tgt_pool_x[ti], tgt_pool_y[ti])
 
         p, feats_s, shared = _feature_bound_terms(f, ds, PAC_ALPHA, PAC_BETA, gamma, G)
         src_cand = _candidate_losses(G, feats_s, np.asarray(ds.source_y, dtype=float))

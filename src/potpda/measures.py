@@ -37,8 +37,13 @@ class PdaDataset:
 
     ``target_y_hidden`` is evaluation-only ground truth; training code must
     never read it.  When both label arrays hold integral values, whatever
-    their dtype, the hidden target labels must lie in the source label set.
+    their dtype, the hidden target labels must lie in the source label set,
+    unless the dataset's class states that its labels are real values.
     """
+
+    # a subclass whose labels are real values sets this False: labels that
+    # all happen to be integral are then not classes
+    _class_labels = True
 
     source_x: np.ndarray
     source_y: np.ndarray
@@ -66,7 +71,8 @@ class PdaDataset:
                 raise ValueError("hidden target labels misaligned with target inputs")
             # labels compare by value, whatever their dtype, once both are
             # integral
-            if _integral(sy) and _integral(ty) and not np.isin(ty, sy).all():
+            if (self._class_labels and _integral(sy) and _integral(ty)
+                    and not np.isin(ty, sy).all()):
                 raise ValueError("hidden target labels outside the source label set")
             object.__setattr__(self, "target_y_hidden", ty)
 

@@ -7,14 +7,16 @@ appending one dummy row and column.  It solves that problem over a shortlist
 of cells (the shortlist method of Gottschlich and Schuhmacher, 2014) and
 certifies the result on the full matrix by its reduced costs.  HiGHS solves
 each sparse LP through the binding scipy's own LP interface calls, without
-that interface's per-call input and option handling.  ``_scipy_ext`` loads
-the binding from its extension file alone, so importing this module skips
-the start-up cost of scipy's optimize package.
+that interface's per-call input and option handling: each thread keeps one
+solver, with its options set once, and hands it each LP as arrays.
+``_scipy_ext`` loads the binding from its extension file alone, so importing
+this module skips the start-up cost of scipy's optimize package.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,8 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+# one HiGHS solver per thread, made on the thread's first LP (see _lp_solver)
+_THREAD = threading.local()
 # cheapest cells of each row and of each column on the transportation LP's
 # first shortlist, and most negative reduced-cost cells per row added on each
 # later round
@@ -169,7 +173,10 @@ def _transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     C - f - g >= -EXACT_FEAS_TOL; HiGHS's optimal status covers the cells in
     it.  The certified f and g are optimal duals of the full LP.  Otherwise
     each row's _SHORTLIST_K most negative cells join the LP, and HiGHS
-    solves it again from its last optimal basis.
+    solves it again from its last optimal basis.  Every round runs on this
+    thread's one HiGHS solver (see _lp_solver); the first round hands it the
+    shortlist LP as arrays, replacing the model, basis and solution of any
+    earlier LP, so no solve depends on the ones before it.
 
     When _SHORTLIST_K >= min(m, n) the shortlist holds every cell, and HiGHS
     gets the model, options and column order that scipy's ``method="highs"``
@@ -199,7 +206,7 @@ def _transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         starts, index = _cell_columns(m, new_rows, new_cols)
         k = len(new_rows)
         solver.addCols(k, C[new_rows, new_cols], np.zeros(k), np.full(k, _highs.kHighsInf),
-                       2 * k, starts[:-1], index, np.ones(2 * k))
+                       2 * k, starts, index, np.ones(2 * k))
         rows, cols = np.concatenate([rows, new_rows]), np.concatenate([cols, new_cols])
     matrix = np.zeros((m, n))
     matrix[rows, cols] = x
@@ -235,44 +242,43 @@ def _north_west_corner(a: np.ndarray, b: np.ndarray):
 
 
 def _cell_columns(m: int, rows: np.ndarray, cols: np.ndarray):
-    """Column starts and row indices of the cells' CSC constraint columns:
-    cell (rows[k], cols[k]) has ones in constraint rows rows[k] and
-    m + cols[k]."""
+    """Column starts and row indices of the cells' CSC constraint columns,
+    the starts without the end of the last column: cell (rows[k], cols[k])
+    has ones in constraint rows rows[k] and m + cols[k]."""
     index = np.empty(2 * len(rows), dtype=np.int32)
     index[0::2] = rows
     index[1::2] = m + cols
-    return np.arange(0, 2 * len(rows) + 1, 2, dtype=np.int32), index
+    return np.arange(0, 2 * len(rows), 2, dtype=np.int32), index
 
 
 def _lp_solver(a, b, C, rows, cols):
-    """A HiGHS solver holding the transportation LP restricted to the cells
-    (rows[k], cols[k]), taken in that order.
+    """This thread's HiGHS solver, holding the transportation LP restricted to
+    the cells (rows[k], cols[k]), taken in that order.
 
-    The options are the ones scipy's ``method="highs"`` LP interface sets;
-    HiGHS's own presolve default is "choose".
+    Each thread keeps one solver, whose options are set once: the ones
+    scipy's ``method="highs"`` LP interface sets (HiGHS's own presolve
+    default is "choose").  Each call hands the model over as arrays, which
+    replaces the last model together with its basis and solution.
     """
+    solver = getattr(_THREAD, "solver", None)
+    if solver is None:
+        options = _highs.HighsOptions()
+        options.presolve = "on"
+        options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        options.output_flag = options.log_to_console = False
+        for key, value in _LP_OPTIONS.items():
+            setattr(options, key, value)
+        solver = _THREAD.solver = _highs._Highs()
+        solver.passOptions(options)
     m, n = C.shape
     n_var = len(rows)
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_var
-    lp.num_row_ = lp.a_matrix_.num_row_ = m + n
-    lp.col_cost_ = C[rows, cols]
-    lp.col_lower_ = np.zeros(n_var)
-    lp.col_upper_ = np.full(n_var, _highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = np.concatenate([a, b])
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_ = _cell_columns(m, rows, cols)
-    lp.a_matrix_.value_ = np.ones(2 * n_var)
-
-    options = _highs.HighsOptions()
-    options.presolve = "on"
-    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.output_flag = options.log_to_console = False
-    for key, value in _LP_OPTIONS.items():
-        setattr(options, key, value)
-    solver = _highs._Highs()
-    solver.passOptions(options)
-    if solver.passModel(lp) == _highs.HighsStatus.kError:
+    starts, index = _cell_columns(m, rows, cols)
+    marginals = np.concatenate([a, b])
+    if solver.passModel(n_var, m + n, 2 * n_var, _highs.MatrixFormat.kColwise,
+                        _highs.ObjSense.kMinimize, 0.0, C[rows, cols], np.zeros(n_var),
+                        np.full(n_var, _highs.kHighsInf), marginals, marginals, starts,
+                        index, np.ones(2 * n_var),
+                        np.zeros(n_var, dtype=np.int32)) == _highs.HighsStatus.kError:
         raise RuntimeError("transportation LP failed: HiGHS rejected the model")
     return solver
 

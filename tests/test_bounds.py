@@ -389,6 +389,21 @@ class TestBoundCheckHarness:
         with pytest.raises(ValueError):
             bound_check(3, 1, seed=0)
 
+    def test_instance_whose_clipped_labels_are_all_zero_or_one(self):
+        # trial 3 at seed 469: the labels are real values, so a target label
+        # of 0 that no source sample has is no unseen class
+        rng = np.random.default_rng(469)
+        for _ in range(4):
+            _, ds, *_ = random_bound_instance(rng)
+        assert set(ds.source_y) == {1.0}
+        assert set(ds.target_y_hidden) == {0.0, 1.0}
+
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_saturated_labels_run_without_violation(self, theorem):
+        res = bound_check(theorem, 25, seed=469)
+        assert res["violations"] == 0
+        assert len(res["records"]) == 25
+
 
 class TestBoundReportType:
     def test_sum_invariant_enforced(self):

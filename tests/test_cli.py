@@ -562,6 +562,15 @@ class TestBoundCheckCommand:
         reports = (tmp_path / "out" / "bound_reports_theorem1.csv").read_text().splitlines()
         assert len(reports) == 11
 
+    @pytest.mark.parametrize("theorem", ["1", "2"])
+    def test_instance_with_saturated_labels_exits_zero(self, tmp_path, capsys, theorem):
+        # seed 469 draws, in trial 3, clipped labels that are all 0 or 1
+        code, payload = run_cli(capsys, [
+            "bound-check", "--theorem", theorem, "--trials", "25",
+            "--seed", "469", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert payload["violations"] == 0
+
 
 class TestTrainCommand:
     def test_produces_artifacts(self, tiny_task, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Partial transport solvers against the vertex-enumeration oracle, the
 log-domain entropic loop and the dense-matrix transportation LP."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -287,6 +288,17 @@ def balanced_instance(rng, m, n, uniform_line):
     return a, b, C
 
 
+def uncertified_shortlist_instance():
+    """The n = 200 instance of the full-solve benchmark at seed 0, input set
+    1, to be solved at alpha = 0.8: its first shortlist misses a cell of
+    negative reduced cost."""
+    rng = np.random.default_rng(int(np.random.SeedSequence([0, 1]).generate_state(1)[0]))
+    n = 200
+    x = rng.uniform(0.0, 4.0, size=(n, 4))
+    y = rng.uniform(0.0, 4.0, size=(n, 4))
+    return np.full(n, 1.0 / (0.8 * n)), np.full(n, 1.0 / n), cdist(x, y)
+
+
 class TestTransportLp:
     # with at most _SHORTLIST_K columns every cell is on the shortlist, so
     # HiGHS sees the dense model
@@ -336,13 +348,8 @@ class TestTransportLp:
         assert_matches_dense_cost(a, b, C)
 
     def test_uncertified_shortlist_is_solved_again(self, monkeypatch):
-        # the n = 200 instance of the full-solve benchmark at seed 0, input
-        # set 1: its first shortlist misses a cell of negative reduced cost
-        rng = np.random.default_rng(int(np.random.SeedSequence([0, 1]).generate_state(1)[0]))
-        n = 200
-        x = rng.uniform(0.0, 4.0, size=(n, 4))
-        y = rng.uniform(0.0, 4.0, size=(n, 4))
-        a, b, C = np.full(n, 1.0 / (0.8 * n)), np.full(n, 1.0 / n), cdist(x, y)
+        a, b, C = uncertified_shortlist_instance()
+        n = len(a)
         solves, lps = [], []
         run, transport_lp = pot._run, pot._transport_lp
 
@@ -363,6 +370,41 @@ class TestTransportLp:
         assert_certified(a_ext, b_ext, C_ext, full, row_duals, col_duals)
         assert plan.n_iter == full.n_iter
         assert cost == pytest.approx(full.cost(C_ext), rel=1e-12)
+
+    def test_reused_solver_repeats_a_solve_bit_identically(self):
+        # between two solves of one LP the thread's solver meets an
+        # infeasible LP and a larger one whose later rounds add columns
+        a, b, C = uniform_line_instance(np.random.default_rng(3131), 31, 31)
+        first_plan, *first_duals = _transport_lp(a, b, C)
+        solver = pot._THREAD.solver
+        with pytest.raises(RuntimeError, match="Infeasible"):
+            _transport_lp(np.array([0.5, 0.5]), np.array([0.2, 0.2]), np.ones((2, 2)))
+        exact_partial_ot(*uncertified_shortlist_instance(), 0.8)
+        plan, *duals = _transport_lp(a, b, C)
+        assert pot._THREAD.solver is solver
+        np.testing.assert_array_equal(plan.matrix, first_plan.matrix)
+        for dual, first in zip(duals, first_duals):
+            np.testing.assert_array_equal(dual, first)
+        assert plan.n_iter == first_plan.n_iter
+
+    def test_a_second_thread_solves_alike_on_its_own_solver(self):
+        a, b, C = balanced_instance(np.random.default_rng(3031), 30, 31, False)
+        plan, *duals = _transport_lp(a, b, C)
+        results = []
+
+        def solve():
+            results.append((_transport_lp(a, b, C), pot._THREAD.solver))
+
+        thread = threading.Thread(target=solve)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        [((other_plan, *other_duals), other_solver)] = results
+        assert other_solver is not pot._THREAD.solver
+        np.testing.assert_array_equal(other_plan.matrix, plan.matrix)
+        for other, dual in zip(other_duals, duals):
+            np.testing.assert_array_equal(other, dual)
+        assert other_plan.n_iter == plan.n_iter
 
     def test_infeasible_marginals_raise_with_the_highs_status(self):
         with pytest.raises(RuntimeError, match="transportation LP failed: Infeasible"):

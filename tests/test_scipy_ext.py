@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import potpda
@@ -63,3 +64,36 @@ def test_potpda_first_then_scipy():
 
 def test_scipy_first_then_potpda():
     run_fresh("import scipy.optimize, scipy.spatial.distance\nimport potpda\n" + SOLVE_BOTH)
+
+
+# the binding calls potpda.pot makes on its one solver per thread: a scipy
+# release inside the pin that changes either fails here by name
+def test_binding_takes_an_options_object():
+    highs = _scipy_ext.highs
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.primal_feasibility_tolerance = 1e-10
+    solver = highs._Highs()
+    assert solver.passOptions(options) == highs.HighsStatus.kOk
+    assert solver.getOptionValue("presolve")[1] == "on"
+    assert solver.getOptionValue("primal_feasibility_tolerance")[1] == 1e-10
+
+
+def test_binding_takes_a_model_as_arrays():
+    # the 2x2 transportation LP of SOLVE_BOTH, cells in row-major order:
+    # cell k has ones in constraint rows k // 2 and 2 + k % 2
+    highs = _scipy_ext.highs
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    marginals = np.full(4, 0.5)
+    status = solver.passModel(4, 4, 8, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+                              0.0, np.array([1.0, 2.0, 2.0, 1.0]), np.zeros(4),
+                              np.full(4, highs.kHighsInf), marginals, marginals,
+                              np.arange(0, 8, 2, dtype=np.int32),
+                              np.array([0, 2, 0, 3, 1, 2, 1, 3], dtype=np.int32), np.ones(8),
+                              np.zeros(4, dtype=np.int32))
+    assert status == highs.HighsStatus.kOk
+    assert (solver.getNumCol(), solver.getNumRow(), solver.getNumNz()) == (4, 4, 8)
+    solver.run()
+    assert solver.getModelStatus() == highs.HighsModelStatus.kOptimal
+    np.testing.assert_allclose(solver.getSolution().col_value, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
