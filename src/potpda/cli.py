@@ -26,7 +26,6 @@ from .synthbench import (
 )
 from .warmpot import SCHEMES, ModelParams, TrainConfig, class_labels, train
 from .weights import (
-    ArpmConfig,
     gamma_constrained_weights,
     marginal_weights,  # noqa: F401 - wrapped by name in perfbench/spans.py
     scheme_arpm,
@@ -53,16 +52,14 @@ class ConfigError(ValueError):
     """Unknown key, bad value or malformed input file; maps to exit code 2."""
 
 
-# config key -> ArpmConfig field; every other TrainConfig field is its own key,
-# and each TaskSpec field but the shared seed is its key minus "task_"
-_ARPM_KEYS = {"arpm_rho": "rho"}
-_TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name != "arpm"]
+# each TrainConfig field is its own config key, and each TaskSpec field but
+# the shared seed is its key minus "task_"
+_TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
 _TASK_FIELDS = [f.name for f in fields(TaskSpec) if f.name != "seed"]
 
 
 def _flatten(train_cfg: TrainConfig, spec: TaskSpec) -> dict:
     values = {name: getattr(train_cfg, name) for name in _TRAIN_FIELDS}
-    values.update({key: getattr(train_cfg.arpm, name) for key, name in _ARPM_KEYS.items()})
     values.update({f"task_{name}": getattr(spec, name) for name in _TASK_FIELDS})
     return values
 
@@ -131,8 +128,7 @@ def parse_config(file=None, flags=None, preset: str = "default") -> RunConfig:
         if raw is not None:
             values[key] = _coerce(key, raw)
     try:
-        arpm = ArpmConfig(**{name: values[key] for key, name in _ARPM_KEYS.items()})
-        train_cfg = TrainConfig(arpm=arpm, **{name: values[name] for name in _TRAIN_FIELDS})
+        train_cfg = TrainConfig(**{name: values[name] for name in _TRAIN_FIELDS})
         spec = TaskSpec(seed=values["seed"], **{name: values[f"task_{name}"] for name in _TASK_FIELDS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -539,18 +539,14 @@ def _water_level(c, level, b, alpha: float, guess: float) -> float:
 
     The sum is piecewise linear and increasing in t.  The columns whose
     level lies below ``guess``, the previous sweep's t, are taken as the
-    full ones, and the others share what their caps leave of alpha: with no
-    full column, t = alpha / sum(c).  When the t this gives fills as many
+    full ones, and the others share what their caps leave of alpha, all of
+    it when no column is full.  When the t this gives fills as many
     columns, it fills the same ones, those of lowest level, and it is the
     answer.  Failing that, _log_water_level sorts the levels.
     """
     full = level < guess
     n_full = np.count_nonzero(full)
-    if n_full == 0:
-        t = alpha / c.sum()
-        if t <= level.min():
-            return t
-    elif n_full < len(c):
+    if n_full < len(c):
         t = (alpha - b @ full) / (c @ ~full)
         if t > 0 and np.count_nonzero(level < t) == n_full:
             return t

@@ -9,7 +9,7 @@ and the alignment cost.  Gradients are exact for the fixed-plan objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -58,7 +58,7 @@ class TrainConfig:
     batch_size: int = 65
     seed: int = 0
     weight_scheme: str = "warmpot"  # one of SCHEMES
-    arpm: ArpmConfig = field(default_factory=ArpmConfig)
+    arpm_rho: float = ArpmConfig.rho
     solver_max_iter: int = SolverConfig.max_iter
     solver_tol: float = SolverConfig.tol
 
@@ -82,10 +82,11 @@ class TrainConfig:
             raise ValueError("seed must be nonnegative")
         if self.weight_scheme not in SCHEMES:
             raise ValueError(f"weight_scheme must be one of {', '.join(SCHEMES)}")
-        # eps, solver_max_iter and solver_tol follow SolverConfig's rules; built
-        # once, since every training step solves with it
+        # eps, solver_max_iter and solver_tol build the SolverConfig, and
+        # arpm_rho the ArpmConfig, each once and under its own rules
         object.__setattr__(self, "_solver", SolverConfig(eps=self.eps, max_iter=self.solver_max_iter,
                                                          tol=self.solver_tol))
+        object.__setattr__(self, "arpm", ArpmConfig(rho=self.arpm_rho))
 
     def solver(self) -> SolverConfig:
         return self._solver
@@ -435,9 +436,10 @@ def _batch_weights(raw: np.ndarray) -> np.ndarray:
 
 def class_labels(labels) -> np.ndarray:
     """Labels as class indices; the classifier head has one row per index up
-    to the largest, so labels must be nonnegative integers."""
+    to the largest, so labels must be nonnegative integers that fit in int64."""
     y = np.asarray(labels)
-    if not (np.issubdtype(y.dtype, np.number) and (y >= 0).all() and (y == np.floor(y)).all()):
+    if not (np.issubdtype(y.dtype, np.number) and (y >= 0).all() and (y < 2.0**63).all()
+            and (y == np.floor(y)).all()):
         raise ValueError("labels must be nonnegative integers")
     return y.astype(int)
 

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import json
 import re
 import shlex
@@ -19,6 +20,7 @@ from potpda.measures import PdaDataset, load_dataset, save_dataset
 from potpda.pot import exact_partial_ot
 from potpda.synthbench import TaskSpec, generate_pda_task
 from potpda.warmpot import TrainConfig
+from potpda.weights import ArpmConfig
 
 
 def run_cli(capsys, argv):
@@ -64,6 +66,15 @@ class TestParseConfig:
         assert set(cfg.values) == set(CONFIG_KEYS)
         assert cfg.train == TrainConfig()
         assert cfg.task == TaskSpec()
+
+    def test_keys_are_the_dataclass_fields(self):
+        # no key reaches into a nested config
+        task_keys = {f"task_{f.name}" for f in dataclasses.fields(TaskSpec) if f.name != "seed"}
+        train_keys = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert set(CONFIG_KEYS) == train_keys | task_keys
+
+    def test_arpm_rho_builds_the_arpm_config(self):
+        assert parse_config(flags={"arpm_rho": "1"}).train.arpm == ArpmConfig(rho=1.0)
 
     def test_alternate_preset(self):
         cfg = parse_config(preset="imagenet-caltech-like")
@@ -213,7 +224,8 @@ class TestExitCodes:
         assert "unrecognized arguments" in captured.err and argv[0] in captured.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--beta", "7"), ("--solver-tol", "1e-5")])
+    @pytest.mark.parametrize("flag, value", [("--beta", "7"), ("--solver-tol", "1e-5"),
+                                             ("--arpm-rho", "-1")])
     def test_bad_config_value_exits_two(self, tiny_task, tmp_path, capsys, flag, value):
         # a solver tol past the feasibility check would let a converged plan fail it
         code = main(["train", "--data", str(tiny_task), flag, value,
@@ -752,6 +764,13 @@ class TestBenchAndSweep:
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 3
         assert set(payload["schemes"]) == {"warmpot", "uniform"}
+
+    def test_bench_unknown_scheme_exits_two(self, tmp_path, capsys):
+        code = main(["bench", "--schemes", "warmpot,bogus", "--seeds", "1",
+                     "--out", str(tmp_path / "bench")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "bogus" in captured.err
 
     def test_bench_prints_null_for_a_scheme_whose_seeds_all_fail(self, tmp_path, capsys):
         # the learning rate overflows the weights within a few steps, as in

@@ -384,13 +384,11 @@ class TestTrain:
         assert trace_w != trace_u
 
     def test_ba3us_and_arpm_schemes_run(self):
-        from potpda.weights import ArpmConfig
-
         spec = TaskSpec(n_s=20, n_t=15, seed=4)
         ds = generate_pda_task(spec)
         base = dict(total_iters=6, ramp_iters=3, batch_size=8, lr=0.02, eps=2.0,
                     seed=1, solver_tol=1e-6, solver_max_iter=300,
-                    arpm=ArpmConfig(rho=1.0))
+                    arpm_rho=1.0)
         for scheme in ("ba3us", "arpm"):
             params, trace = train(ds, TrainConfig(weight_scheme=scheme, **base))
             assert len(trace) == 6
@@ -446,6 +444,16 @@ class TestTrain:
         y = ds.source_y.astype(float)
         y[y == 2] = label
         bad = PdaDataset(ds.source_x, y if label % 1 else y.astype(int), ds.target_x)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            train(bad, TrainConfig(total_iters=2, ramp_iters=1, batch_size=8))
+
+    @pytest.mark.parametrize("label", [np.inf, 1e300, 2.0**63])
+    def test_labels_past_int64_rejected(self, label):
+        # integral-looking floats that int64 cannot hold would cast to -2**63
+        ds = generate_pda_task(TaskSpec(n_s=20, n_t=15, seed=4))
+        y = ds.source_y.astype(float)
+        y[y == 2] = label
+        bad = PdaDataset(ds.source_x, y, ds.target_x)
         with pytest.raises(ValueError, match="nonnegative integers"):
             train(bad, TrainConfig(total_iters=2, ramp_iters=1, batch_size=8))
 
