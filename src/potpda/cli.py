@@ -24,7 +24,7 @@ from .synthbench import (
     run_ablation,
     target_accuracy,
 )
-from .warmpot import SCHEMES, ModelParams, TrainConfig, class_labels, train
+from .warmpot import SCHEMES, ModelParams, TrainConfig, _source_classes, class_labels, train
 from .weights import (
     gamma_constrained_weights,
     marginal_weights,  # noqa: F401 - wrapped by name in perfbench/spans.py
@@ -321,11 +321,13 @@ def _cmd_bound_check(args, cfg: RunConfig, out_dir: Path) -> int:
 
 def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> int:
     ds = _load_task(args.data)
-    for name, labels in (("source", ds.source_y), ("hidden target", ds.target_y_hidden)):
+    # checked before any head is sized from the labels
+    for name, labels, classes in (("source", ds.source_y, _source_classes),
+                                  ("hidden target", ds.target_y_hidden, class_labels)):
         if labels is None:
             continue
         try:
-            class_labels(labels)
+            classes(labels)
         except ValueError as exc:
             raise ConfigError(f"{args.data}: {name} {exc}") from exc
     params, trace = train(ds, cfg.train)

@@ -204,32 +204,38 @@ def load_dataset(path) -> PdaDataset:
 
 def _read_task(path) -> PdaDataset:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError("missing header")
+        # a repeated name reads its last column
+        col = {name: i for i, name in enumerate(header)}
         for name in ("split", "y"):
-            if name not in reader.fieldnames:
+            if name not in col:
                 raise ValueError(f"missing column {name!r}")
-        x_cols = sorted((c for c in reader.fieldnames if c.startswith("x")),
-                        key=lambda c: int(c[1:]))
-        if not x_cols:
+        x_idx = [col[c] for c in sorted((c for c in header if c.startswith("x")),
+                                        key=lambda c: int(c[1:]))]
+        if not x_idx:
             raise ValueError("no input columns x0..")
-        has_hidden = "y_hidden" in reader.fieldnames
+        split_i, y_i, hidden_i = col["split"], col["y"], col.get("y_hidden")
         src_x, src_y, tgt_x, tgt_y = [], [], [], []
         for row in reader:
-            if None in row or None in row.values():
+            if not row:
+                continue  # a blank line
+            if len(row) != len(header):
                 raise ValueError(f"line {reader.line_num}: expected "
-                                 f"{len(reader.fieldnames)} cells, as in the header")
-            vec = [float(row[c]) for c in x_cols]
-            if row["split"] == "source":
+                                 f"{len(header)} cells, as in the header")
+            vec = [float(row[i]) for i in x_idx]
+            split = row[split_i]
+            if split == "source":
                 src_x.append(vec)
-                src_y.append(row["y"])
-            elif row["split"] == "target":
+                src_y.append(row[y_i])
+            elif split == "target":
                 tgt_x.append(vec)
-                if has_hidden and row["y_hidden"] != "":
-                    tgt_y.append(row["y_hidden"])
+                if hidden_i is not None and row[hidden_i] != "":
+                    tgt_y.append(row[hidden_i])
             else:
-                raise ValueError(f"unknown split {row['split']!r}")
+                raise ValueError(f"unknown split {split!r}")
     if not src_x or not tgt_x:
         raise ValueError("need both source and target rows")
     hidden = None

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,6 +79,20 @@ class TransportPlan:
         object.__setattr__(self, "col_caps", np.asarray(self.col_caps, dtype=float))
         object.__setattr__(self, "row_sums", matrix.sum(axis=1))
         object.__setattr__(self, "col_sums", matrix.sum(axis=0))
+
+    @classmethod
+    def _solved(cls, matrix, row_caps, col_caps, mass: float, converged: bool, n_iter: int,
+                residual: float) -> "TransportPlan":
+        """The plan a solver made: a 2-d float matrix over the 1-d float caps
+        it was given, taken as they are, with no coercion."""
+        plan = cls.__new__(cls)
+        # a frozen dataclass's fields are set past its __setattr__, as
+        # __post_init__ sets them
+        vars(plan).update(matrix=matrix, row_caps=row_caps, col_caps=col_caps, mass=mass,
+                          converged=converged, n_iter=n_iter, residual=residual,
+                          row_sums=matrix.sum(axis=1), col_sums=matrix.sum(axis=0),
+                          _violation=None)
+        return plan
 
     def max_violation(self) -> float:
         """Largest constraint violation: negativity, cap excess, or mass error;
@@ -357,15 +372,18 @@ def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) 
     return _entropic(*_check_inputs(a, b, C, alpha), cfg or SolverConfig())
 
 
-def _entropic(a, b, C, alpha: float, cfg: SolverConfig) -> TransportPlan:
-    """entropic_partial_ot on checked inputs: finite nonnegative caps that
-    admit the mass alpha > 0, and finite costs of matching shape."""
+def _entropic(a, b, C, alpha: float, cfg: SolverConfig, *,
+              caps_positive: bool = False) -> TransportPlan:
+    """entropic_partial_ot on checked inputs: 1-d float arrays of finite
+    nonnegative caps that admit the mass alpha > 0, and a 2-d float array
+    of finite costs of matching shape.  ``caps_positive`` vouches that
+    every cap is positive, which is then not tested."""
     # overflowed cells carry no mass; in the sweeps, a kernel sum of 0 or a
     # quotient past float range stands for its limit
     with np.errstate(divide="ignore", over="ignore"):
         K = C / -cfg.eps
         top = K.max()
-        every_cap_positive = a.min() > 0 and b.min() > 0
+        every_cap_positive = caps_positive or (a.min() > 0 and b.min() > 0)
         if not every_cap_positive:
             rows, cols = a > 0, b > 0
         # alpha > 0 leaves a positive cap on some row and some column; when every
@@ -397,8 +415,7 @@ def _entropic(a, b, C, alpha: float, cfg: SolverConfig) -> TransportPlan:
         full = np.zeros(C.shape)
         full[np.ix_(rows, cols)] = matrix
         matrix = full
-    plan = TransportPlan(matrix, a, b, alpha, converged=converged, n_iter=n_iter,
-                         residual=residual)
+    plan = TransportPlan._solved(matrix, a, b, alpha, converged, n_iter, residual)
     if converged:
         plan.validate(ENTROPIC_FEAS_TOL)
     return plan
@@ -430,7 +447,7 @@ def _sweeps(K, log_kernel, a, b, alpha: float, cfg: SolverConfig):
     """
     m = len(a)
     # nothing is absorbed yet, and every cap is 1
-    uv, s, absorbed, h = np.ones(m + len(b)), 1.0, 0.0, 0.0
+    uv, s, absorbed, h = _ones(m + len(b)), 1.0, 0.0, 0.0
     cap = uv
     # the first check, on the kernel itself, with every scaling at its cap
     Kv, col_sums = K @ uv[m:], uv[:m] @ K
@@ -450,7 +467,7 @@ def _sweeps(K, log_kernel, a, b, alpha: float, cfg: SolverConfig):
                 residual = max(_excess(K.sum(axis=1), a, absorbed[:m] < 0),
                                _excess(K.sum(axis=0), b, absorbed[m:] < 0), abs(K.sum() - alpha))
                 return K, it + 1, False, residual
-            uv, s = np.ones(m + len(b)), 1.0
+            uv, s = _ones(m + len(b)), 1.0
             # a cap cut above the ceiling binds only out of range
             cap = np.exp(np.minimum(-absorbed, math.log(_SCALING_CEIL) + 1.0))
         # the next sweep's check
@@ -465,6 +482,16 @@ def _sweeps(K, log_kernel, a, b, alpha: float, cfg: SolverConfig):
         K *= uv[m:] * s if (uv[m:] != 1.0).any() else s
     # the last check, after max_iter sweeps, only measures the plan
     return K, min(it + 1, cfg.max_iter), it < cfg.max_iter, residual
+
+
+@lru_cache
+def _ones(n: int) -> np.ndarray:
+    """All ones, the scalings and caps before any sweep; built once per
+    length, and read-only, since the sweeps replace scalings and never
+    write them."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
 
 
 def _excess(sums, caps, free) -> float:

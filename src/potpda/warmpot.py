@@ -17,7 +17,7 @@ import numpy as np
 
 from ._scipy_ext import cdist_euclidean
 from .measures import PdaDataset
-from .pot import ENTROPIC_FEAS_TOL, SolverConfig, TransportPlan, _cost_entries, _entropic
+from .pot import ENTROPIC_FEAS_TOL, SolverConfig, TransportPlan, _entropic
 # the training step solves through the private core; the public solver stays
 # bound here, where perfbench's traced run looks it up
 from .pot import entropic_partial_ot  # noqa: F401
@@ -216,14 +216,13 @@ class _Forward(NamedTuple):
     cost: np.ndarray
 
 
-def _forward(params: ModelParams, bs_x: np.ndarray, bs_y: np.ndarray, bt_x: np.ndarray,
+def _forward(params: ModelParams, x: np.ndarray, bs_y: np.ndarray, n_s: int,
              cfg: TrainConfig) -> _Forward:
     """Features and softmaxes of the stacked source and target batches,
     feature distances, per-sample source losses and the feature-plus-label
-    alignment cost.  The batches are 2-d float arrays and integer labels, as
-    _batch gives them."""
-    x = np.concatenate([bs_x, bt_x])
-    n_s = len(bs_x)
+    alignment cost.  ``x`` is a 2-d float array whose first ``n_s`` rows are
+    the source batch and ``bs_y`` their integer labels, as _batch gives
+    them."""
     feats = params.features(x)
     z = _class_logits(params, feats)
     probs = np.exp(z)
@@ -246,9 +245,12 @@ def _forward(params: ModelParams, bs_x: np.ndarray, bs_y: np.ndarray, bt_x: np.n
 
 
 def _batch(bs_x, bs_y, bt_x) -> tuple:
-    """A minibatch as _forward reads it: 2-d float inputs and integer labels."""
-    return (np.atleast_2d(np.asarray(bs_x, dtype=float)), np.asarray(bs_y, dtype=int),
-            np.atleast_2d(np.asarray(bt_x, dtype=float)))
+    """A minibatch as _forward reads it: the source inputs stacked over the
+    target inputs in one 2-d float array, integer source labels and the
+    number of source rows."""
+    bs_x = np.atleast_2d(np.asarray(bs_x, dtype=float))
+    x = np.concatenate([bs_x, np.atleast_2d(np.asarray(bt_x, dtype=float))])
+    return x, np.asarray(bs_y, dtype=int), len(bs_x)
 
 
 @lru_cache
@@ -278,8 +280,11 @@ def _solve(fwd: _Forward, alpha: float, cfg: TrainConfig) -> TransportPlan:
         raise ValueError("batches must be nonempty")
     if not alpha > 0:
         raise ValueError("transported mass alpha must be positive")
+    # the costs are nonnegative, so a NaN or an inf shows in the largest
+    if not math.isfinite(fwd.cost.max()):
+        raise ValueError("cost matrix must be finite")
     a, b, mass_limit = _marginals(n_bs, n_bt, cfg.beta)
-    return _entropic(a, b, _cost_entries(fwd.cost), min(alpha, mass_limit), cfg.solver())
+    return _entropic(a, b, fwd.cost, min(alpha, mass_limit), cfg.solver(), caps_positive=True)
 
 
 def _value(fwd: _Forward, plan_matrix: np.ndarray, source_weights: np.ndarray) -> float:
@@ -320,8 +325,12 @@ def _gradients(params: ModelParams, fwd: _Forward, plan_matrix: np.ndarray, col_
         # close pairs are taken out of s and summed from their differences
         # fs_i - ft_j below; coincident features take the subgradient 0 there
         scale = plan_matrix / np.maximum(fwd.dist, 1e-12)
-        close = fwd.dist <= CLOSE_PAIR_RTOL * fwd.dist_max
-        scale[close] = 0.0
+        # close pairs are rare, so their mask is built only when the nearest
+        # pair is one
+        close_tol = CLOSE_PAIR_RTOL * fwd.dist_max
+        close = fwd.dist <= close_tol if fwd.dist.min(initial=np.inf) <= close_tol else None
+        if close is not None:
+            scale[close] = 0.0
         k = fwd.feats.shape[1]
         feats_eta = np.empty((len(fwd.feats), k + 1))
         np.multiply(fwd.feats, cfg.eta1, out=feats_eta[:, :k])
@@ -329,8 +338,7 @@ def _gradients(params: ModelParams, fwd: _Forward, plan_matrix: np.ndarray, col_
         to_t, to_s = scale @ feats_eta[n_s:], scale.T @ feats_eta[:n_s]
         dfeats[:n_s] += to_t[:, k:] * feats_s - to_t[:, :k]
         dfeats[n_s:] += to_s[:, k:] * feats_t - to_s[:, :k]
-        # count_nonzero tests a boolean array faster than any()
-        if np.count_nonzero(close):
+        if close is not None:
             rows, cols = np.nonzero(close)
             close_scale = cfg.eta1 * plan_matrix[close] / np.maximum(fwd.dist[close], 1e-12)
             pull = close_scale[:, None] * (feats_s[rows] - feats_t[cols])
@@ -380,13 +388,23 @@ def warmpot_step(params: ModelParams, bs_x, bs_y, bt_x, alpha: float, cfg: Train
 
     ``source_weights`` overrides the plan-derived weights (used by the
     competing weighting schemes); the alignment term is unchanged.
-    Returns the updated params and the step's trace record in trace.csv's
-    column order, ending with ``p_hat``, the plan's row sums.  A plan that
-    breaks its caps or misses its mass by more than ENTROPIC_FEAS_TOL raises
-    FloatingPointError: such plans come from costs that span too many eps,
-    as the parameters diverge.
+    Returns new params, leaving ``params`` as they were, and the step's
+    trace record in trace.csv's column order, ending with ``p_hat``, the
+    plan's row sums.  A plan that breaks its caps or misses its mass by more
+    than ENTROPIC_FEAS_TOL raises FloatingPointError: such plans come from
+    costs that span too many eps, as the parameters diverge.
     """
-    fwd = _forward(params, *_batch(bs_x, bs_y, bt_x), cfg)
+    grad, record = _step(params, *_batch(bs_x, bs_y, bt_x), alpha, cfg, source_weights)
+    return ModelParams._from_flat(params.theta - cfg.lr * grad, params.shapes), record
+
+
+def _step(params: ModelParams, x: np.ndarray, bs_y: np.ndarray, n_s: int, alpha: float,
+          cfg: TrainConfig, source_weights: np.ndarray | None):
+    """warmpot_step on a batch as _batch gives it, up to the update: the
+    gradient that the step subtracts lr times from ``params.theta``, and the
+    trace record.  train runs it on the arrays it builds and updates its own
+    theta in place."""
+    fwd = _forward(params, x, bs_y, n_s, cfg)
     plan = _solve(fwd, alpha, cfg)
     mass = float(plan.row_sums.sum())
     violation = plan.max_violation()
@@ -396,9 +414,7 @@ def warmpot_step(params: ModelParams, bs_x, bs_y, bt_x, alpha: float, cfg: Train
             f"{violation:.3e}: max cost {fwd.cost.max():.3e} at eps {cfg.eps:.3e}")
     weights = plan.row_sums if source_weights is None else np.asarray(source_weights, dtype=float)
     value = _value(fwd, plan.matrix, weights)
-    grad = _gradients(params, fwd, plan.matrix, plan.col_sums, weights, cfg)
-    new = ModelParams._from_flat(params.theta - cfg.lr * grad, params.shapes)
-    return new, {
+    return _gradients(params, fwd, plan.matrix, plan.col_sums, weights, cfg), {
         "alpha": plan.mass,
         "objective": value,
         "plan_mass": mass,
@@ -444,16 +460,31 @@ def class_labels(labels) -> np.ndarray:
     return y.astype(int)
 
 
+def _source_classes(labels) -> np.ndarray:
+    """Source labels as the class indices that size the classifier head.
+    Besides class_labels' rule, the largest must lie below the number of
+    source rows: a larger one leaves a head row with no sample, and one far
+    larger sizes a head past any memory."""
+    y = class_labels(labels)
+    if y.max() >= len(y):
+        raise ValueError(f"labels must lie below the number of source rows, {len(y)}; "
+                         f"the largest is {y.max()}")
+    return y
+
+
 def train(ds: PdaDataset, cfg: TrainConfig):
     """Run the full schedule; deterministic for a fixed seed and config.
 
-    Returns the final params and a per-iteration trace.  When the dataset
-    carries hidden target labels, the trace records the share of source weight
-    on classes absent from the target.  Source or hidden target labels that
-    are not nonnegative integers raise ValueError; parameters that diverge
-    raise FloatingPointError naming the iteration.
+    Returns the final params and a per-iteration trace.  Each step runs
+    warmpot_step's computation on arrays train builds and updates the
+    params' theta in place.  When the dataset carries hidden target labels,
+    the trace records the share of source weight on classes absent from the
+    target.  Source or hidden target labels that are not nonnegative
+    integers, and a source label not below the number of source rows, raise
+    ValueError; parameters that diverge raise FloatingPointError naming the
+    iteration.
     """
-    source_y = class_labels(ds.source_y)
+    source_y = _source_classes(ds.source_y)
     outlier_mask = None
     if ds.target_y_hidden is not None:
         outlier_mask = ~np.isin(source_y, class_labels(ds.target_y_hidden))
@@ -466,7 +497,10 @@ def train(ds: PdaDataset, cfg: TrainConfig):
     fixed = cfg.weight_scheme == "uniform"
     batch_weights = _batch_weights(np.full(cfg.batch_size, scheme_full[0])) if fixed else None
     refresh = scheme_full is not None and not fixed
-    replace_s, replace_t = cfg.batch_size > ds.n_s, cfg.batch_size > ds.n_t
+    n_s, n_t = ds.n_s, ds.n_t
+    replace_s, replace_t = cfg.batch_size > n_s, cfg.batch_size > n_t
+    # each batch is one gather from the source rows stacked over the target rows
+    stacked = np.concatenate([ds.source_x, ds.target_x])
     trace = []
     # an overflow or an invalid operation means the parameters have diverged;
     # it raises where it happens, and the error names the step
@@ -474,20 +508,22 @@ def train(ds: PdaDataset, cfg: TrainConfig):
         try:
             for it in range(cfg.total_iters):
                 alpha = alpha_schedule(it, cfg)
-                si = rng.choice(ds.n_s, size=cfg.batch_size, replace=replace_s)
-                ti = rng.choice(ds.n_t, size=cfg.batch_size, replace=replace_t)
-                bs_x, bs_y, bt_x = ds.source_x[si], source_y[si], ds.target_x[ti]
+                si = rng.choice(n_s, size=cfg.batch_size, replace=replace_s)
+                ti = rng.choice(n_t, size=cfg.batch_size, replace=replace_t)
 
                 if refresh:
                     if it > 0:
                         scheme_full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
                     batch_weights = _batch_weights(scheme_full[si])
 
-                params, record = warmpot_step(params, bs_x, bs_y, bt_x, alpha, cfg, batch_weights)
+                x = stacked.take(np.concatenate([si, ti + n_s]), axis=0)
+                grad, record = _step(params, x, source_y[si], cfg.batch_size, alpha, cfg,
+                                     batch_weights)
+                params.theta -= cfg.lr * grad
                 row = {"iter": it, **record}
                 p = row.pop("p_hat")
                 if outlier_mask is not None:
-                    total = p.sum()
+                    total = row["plan_mass"]
                     row["outlier_weight_share"] = float(p[outlier_mask[si]].sum() / total) if total > 0 else 0.0
                 trace.append(row)
         except FloatingPointError as exc:

@@ -338,6 +338,30 @@ class TestExitCodes:
         assert code == 2
         assert str(bad) in err and "nonnegative integers" in err
 
+    @pytest.mark.parametrize("label, code", [("1e15", 2), ("24", 2), ("23", 0)])
+    def test_train_rejects_source_labels_past_the_source_rows(self, tiny_task, tmp_path, capsys,
+                                                              label, code):
+        # a head has a row per class up to the largest label: 1e15 would
+        # size it at 28 PiB; 23 is the largest label below tiny_task's 24
+        # source rows
+        lines = tiny_task.read_text().splitlines()
+        y = lines[0].split(",").index("y")
+        for k, line in enumerate(lines[1:], 1):
+            cells = line.split(",")
+            if cells[0] == "source" and cells[y] == "2":
+                cells[y] = label
+                lines[k] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(bad), "--out", str(tmp_path / "out")]
+                    + FAST_FLAGS) == code
+        err = capsys.readouterr().err
+        assert (tmp_path / "out" / "trace.csv").exists() == (code == 0)
+        if code:
+            assert str(bad) in err
+            assert "source labels must lie below the number of source rows, 24" in err
+            assert len(err.strip().splitlines()) == 1
+
     def test_train_rejects_hidden_labels_that_are_not_class_indices(self, tiny_task, tmp_path,
                                                                     capsys):
         # 0.5 added to every hidden label, which the outlier mask would
@@ -764,6 +788,19 @@ class TestBenchAndSweep:
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 3
         assert set(payload["schemes"]) == {"warmpot", "uniform"}
+
+    @pytest.mark.parametrize("command", [["bench", "--schemes", "warmpot", "--seeds", "1"],
+                                         ["sweep", "--param", "beta", "--grid", "0.5"]])
+    def test_fewer_source_rows_than_classes_still_train(self, tmp_path, capsys, command):
+        # generated labels are round-robin, so they stay below the number of
+        # source rows that train requires even when the classes outnumber them
+        code, payload = run_cli(capsys, command + ["--out", str(tmp_path), "--task-K", "5",
+                                                   "--task-shared", "2", "--task-n-s", "3",
+                                                   "--task-n-t", "16", "--task-d", "2"]
+                                + FAST_FLAGS)
+        assert code == 0
+        rows = payload["schemes"].values() if command[0] == "bench" else payload["rows"]
+        assert all(row["acc_mean"] is not None for row in rows)
 
     def test_bench_unknown_scheme_exits_two(self, tmp_path, capsys):
         code = main(["bench", "--schemes", "warmpot,bogus", "--seeds", "1",

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from potpda import warmpot
 from potpda.measures import PdaDataset
 from potpda.pot import TransportPlan, entropic_partial_ot
 from potpda.synthbench import TaskSpec, generate_pda_task
 from potpda.warmpot import (
     ModelParams,
     TrainConfig,
+    _batch,
     _forward,
     _gradients,
     _solve,
@@ -194,7 +196,7 @@ class TestGradients:
             bt_x = bs_x
         else:
             bt_x = bs_x + rng.normal(scale=1e-12, size=bs_x.shape)
-        fwd = _forward(params, bs_x, bs_y, bt_x, cfg)
+        fwd = _forward(params, *_batch(bs_x, bs_y, bt_x), cfg)
         assert np.any(fwd.dist == 0) == (targets == "coincident")
         assert (fwd.dist.min() < 1e-12) == (targets != "distinct")
         plan = _solve(fwd, 0.8, cfg)
@@ -305,7 +307,7 @@ class TestWarmpotStep:
         # past that row's cap 1/(beta n_s) = 0.571
         import potpda.warmpot as warmpot
 
-        def one_row(a, b, C, alpha, cfg):
+        def one_row(a, b, C, alpha, cfg, **_):
             matrix = np.zeros(C.shape)
             matrix[0] = alpha / C.shape[1]
             return TransportPlan(matrix, a, b, alpha, converged=False, n_iter=cfg.max_iter)
@@ -352,6 +354,63 @@ class TestWarmpotStep:
             np.testing.assert_array_equal(getattr(new, name),
                                           getattr(params, name) - cfg.lr * grads[name])
 
+    @pytest.mark.parametrize("override", [False, True])
+    def test_leaves_the_callers_params_unchanged(self, override):
+        rng = np.random.default_rng(15)
+        bs_x, bs_y, bt_x, params = small_batch(rng)
+        cfg = TrainConfig(batch_size=5, lr=0.05, eps=2.0, **FAST)
+        theta, before = params.theta, params.theta.copy()
+        weights = rng.dirichlet(np.ones(5)) if override else None
+        new, _ = warmpot_step(params, bs_x, bs_y, bt_x, 0.5, cfg, weights)
+        assert params.theta is theta
+        np.testing.assert_array_equal(params.theta, before)
+        assert new is not params and not np.shares_memory(new.theta, params.theta)
+        assert np.any(new.theta != before)
+
+    def test_update_past_float_range_raises(self):
+        # inputs of size 100 give gradient entries past 2, so a step of lr
+        # 1e308 overflows theta: numpy's overflow error where it raises, as
+        # in train, and otherwise the params' finiteness check; either way
+        # the caller's params are as they were
+        rng = np.random.default_rng(16)
+        bs_x, bs_y, bt_x, params = small_batch(rng)
+        bs_x, bt_x = 100 * bs_x, 100 * bt_x
+        cfg = TrainConfig(batch_size=5, lr=1e308, eps=2.0, **FAST)
+        before = params.theta.copy()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            warmpot_step(params, bs_x, bs_y, bt_x, 0.5, cfg)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            warmpot_step(params, bs_x, bs_y, bt_x, 0.5, cfg)
+        np.testing.assert_array_equal(params.theta, before)
+
+
+def train_by_public_steps(ds, cfg):
+    """Oracle for train: its schedule, draws and scheme weights, each step a
+    public warmpot_step on the batch's own arrays, under train's error
+    state."""
+    source_y = ds.source_y.astype(int)
+    outliers = None if ds.target_y_hidden is None else ~np.isin(source_y, ds.target_y_hidden)
+    rng = np.random.default_rng(cfg.seed)
+    params = ModelParams.init(ds.dim, int(source_y.max()) + 1, rng)
+    full = warmpot._scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
+    trace = []
+    for it in range(cfg.total_iters):
+        alpha = alpha_schedule(it, cfg)
+        si = rng.choice(ds.n_s, size=cfg.batch_size, replace=cfg.batch_size > ds.n_s)
+        ti = rng.choice(ds.n_t, size=cfg.batch_size, replace=cfg.batch_size > ds.n_t)
+        if it > 0 and cfg.weight_scheme in ("ba3us", "arpm"):
+            full = warmpot._scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
+        weights = None if full is None else warmpot._batch_weights(full[si])
+        with np.errstate(over="raise", invalid="raise"):
+            params, record = warmpot_step(params, ds.source_x[si], source_y[si], ds.target_x[ti],
+                                          alpha, cfg, weights)
+        row = {"iter": it, **record}
+        p = row.pop("p_hat")
+        if outliers is not None:
+            row["outlier_weight_share"] = float(p[outliers[si]].sum() / p.sum())
+        trace.append(row)
+    return params, trace
+
 
 class TestTrain:
     def test_deterministic_trace(self):
@@ -364,6 +423,23 @@ class TestTrain:
         assert trace1 == trace2
         np.testing.assert_array_equal(params1.W_f, params2.W_f)
         np.testing.assert_array_equal(params1.W_g, params2.W_g)
+
+    @pytest.mark.parametrize("scheme, steps", [("warmpot", 40), ("uniform", 40), ("ba3us", 5)])
+    @pytest.mark.parametrize("hidden", [True, False])
+    def test_matches_a_loop_of_public_steps_bit_for_bit(self, scheme, steps, hidden):
+        # train updates its own theta in place and gathers each batch from
+        # its stacked inputs; every trace row and the final theta must be
+        # those of warmpot_step on the same draws
+        ds = generate_pda_task(TaskSpec(n_s=90, n_t=60, seed=7))
+        if not hidden:
+            ds = PdaDataset(ds.source_x, ds.source_y, ds.target_x)
+        cfg = TrainConfig(total_iters=steps, ramp_iters=steps // 2, batch_size=32, lr=0.03,
+                          eps=2.0, seed=3, weight_scheme=scheme)
+        params, trace = train(ds, cfg)
+        expected_params, expected_trace = train_by_public_steps(ds, cfg)
+        assert trace == expected_trace
+        assert ("outlier_weight_share" in trace[0]) == hidden
+        assert params.theta.tobytes() == expected_params.theta.tobytes()
 
     def test_trace_alpha_endpoints(self):
         spec = TaskSpec(n_s=30, n_t=20, seed=2)
@@ -424,8 +500,8 @@ class TestTrain:
         plans = []
         solve = warmpot._entropic
 
-        def recording(*args):
-            plans.append(solve(*args))
+        def recording(*args, **kwargs):
+            plans.append(solve(*args, **kwargs))
             return plans[-1]
 
         monkeypatch.setattr(warmpot, "_entropic", recording)
@@ -455,6 +531,17 @@ class TestTrain:
         y[y == 2] = label
         bad = PdaDataset(ds.source_x, y, ds.target_x)
         with pytest.raises(ValueError, match="nonnegative integers"):
+            train(bad, TrainConfig(total_iters=2, ramp_iters=1, batch_size=8))
+
+    @pytest.mark.parametrize("label", [20, 1e15])
+    def test_labels_past_the_source_rows_rejected(self, label):
+        # a head row per class up to the largest label: 1e15 would size the
+        # head at 28 PiB, 20 leaves rows with no sample among 20 source rows
+        ds = generate_pda_task(TaskSpec(n_s=20, n_t=15, seed=4))
+        y = ds.source_y.astype(float)
+        y[y == 2] = label
+        bad = PdaDataset(ds.source_x, y, ds.target_x)
+        with pytest.raises(ValueError, match="below the number of source rows, 20"):
             train(bad, TrainConfig(total_iters=2, ramp_iters=1, batch_size=8))
 
     def test_hidden_labels_that_are_not_class_indices_rejected(self):
