@@ -145,13 +145,13 @@ class PacBayesConfig:
     kl: float = 0.0
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("lambda must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if self.n_t < 1:
             raise ValueError("n_t must be at least 1")
-        if self.kl < 0:
+        if not self.kl >= 0:
             raise ValueError("KL divergence must be nonnegative")
 
 
@@ -234,7 +234,7 @@ def min_decomposition_gap(f: LinearFeatureMap, G: FiniteClassifierSet, p_hat, q_
             source_x, source_y, target_x, target_y_hidden) -> float:
     """Gap between the joint candidate minimum of the weighted source and
     target losses and the sum of the two separate minima; nonnegative."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     p_hat = np.asarray(p_hat, dtype=float)
     q_hat = np.asarray(q_hat, dtype=float)
@@ -253,7 +253,7 @@ def joint_bound_report(w: Hypothesis, ds: PdaDataset, alpha: float, beta: float,
     the decomposition of the joint minimum is only an upper bound when the
     family contains it.
     """
-    if zeta <= 0:
+    if not zeta > 0:
         raise ValueError("zeta must be positive")
     g = _check_hypothesis(w, gamma)
     f = w.feature_map

@@ -219,7 +219,7 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _write_histogram(path: Path, counts: np.ndarray) -> None:

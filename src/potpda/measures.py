@@ -116,7 +116,7 @@ class LipschitzClassifier:
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.v, dtype=float))
         object.__setattr__(self, "v", v)
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
     def is_certified(self) -> bool:
@@ -150,7 +150,7 @@ def empirical_feature_measure(samples, feature_map: LinearFeatureMap, scale: flo
     Use ``scale = 1/beta`` for the inflated source side and 1 for the target.
     Returns the atom masses together with the feature array the atoms live on.
     """
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("scale must be positive")
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     n = x.shape[0]
@@ -161,7 +161,7 @@ def empirical_feature_measure(samples, feature_map: LinearFeatureMap, scale: flo
 
 def feature_cost_matrix(source_feats, target_feats, gamma: float) -> np.ndarray:
     """Cost (i, j) = gamma * ||f_i - f~_j|| between precomputed features."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     fs = np.atleast_2d(np.asarray(source_feats, dtype=float))
     ft = np.atleast_2d(np.asarray(target_feats, dtype=float))
@@ -176,7 +176,7 @@ def joint_cost_matrix(source_feats, source_labels, target_feats, predicted_label
 
     zeta_gamma = 0 degenerates to the pure label-distance matrix.
     """
-    if zeta_gamma < 0:
+    if not zeta_gamma >= 0:
         raise ValueError("zeta_gamma must be nonnegative")
     fs = np.atleast_2d(np.asarray(source_feats, dtype=float))
     ft = np.atleast_2d(np.asarray(target_feats, dtype=float))

@@ -46,7 +46,7 @@ _THREAD = threading.local()
 _SHORTLIST_K = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransportPlan:
     """A coupling matrix together with the caps and mass it must respect.
 
@@ -56,9 +56,9 @@ class TransportPlan:
     round, and the count is the ``nit`` that scipy's ``method="highs"`` LP
     interface reports on the dense LP.  ``residual`` is the entropic stopping
     residual of the plan (see entropic_partial_ot); NaN when no entropic
-    solve measured it.  ``row_sums`` and ``col_sums`` are computed once, at
-    construction, and the violation at its first use, so the matrix must not
-    change afterwards.
+    solve measured it.  ``row_sums``, ``col_sums`` and the violation are
+    measured once, at construction, so the matrix must not change
+    afterwards.
     """
 
     matrix: np.ndarray
@@ -70,48 +70,34 @@ class TransportPlan:
     residual: float = math.nan
     row_sums: np.ndarray = field(init=False, repr=False, compare=False)
     col_sums: np.ndarray = field(init=False, repr=False, compare=False)
-    _violation: float | None = field(default=None, init=False, repr=False, compare=False)
+    _violation: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "row_caps", np.asarray(self.row_caps, dtype=float))
-        object.__setattr__(self, "col_caps", np.asarray(self.col_caps, dtype=float))
-        object.__setattr__(self, "row_sums", matrix.sum(axis=1))
-        object.__setattr__(self, "col_sums", matrix.sum(axis=0))
-
-    @classmethod
-    def _solved(cls, matrix, row_caps, col_caps, mass: float, converged: bool, n_iter: int,
-                residual: float) -> "TransportPlan":
-        """The plan a solver made: a 2-d float matrix over the 1-d float caps
-        it was given, taken as they are, with no coercion."""
-        plan = cls.__new__(cls)
-        # a frozen dataclass's fields are set past its __setattr__, as
-        # __post_init__ sets them
-        vars(plan).update(matrix=matrix, row_caps=row_caps, col_caps=col_caps, mass=mass,
-                          converged=converged, n_iter=n_iter, residual=residual,
-                          row_sums=matrix.sum(axis=1), col_sums=matrix.sum(axis=0),
-                          _violation=None)
-        return plan
-
-    def max_violation(self) -> float:
-        """Largest constraint violation: negativity, cap excess, or mass error;
-        infinite when an entry is not finite.  Measured at the first call."""
-        if self._violation is None:
-            object.__setattr__(self, "_violation", self._measure_violation())
-        return self._violation
-
-    def _measure_violation(self) -> float:
-        p, row_sums = self.matrix, self.row_sums
+    def __init__(self, matrix, row_caps, col_caps, mass: float, converged: bool = True,
+                 n_iter: int = 0, residual: float = math.nan):
+        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+        row_caps = np.asarray(row_caps, dtype=float)
+        col_caps = np.asarray(col_caps, dtype=float)
+        mass = float(mass)
+        row_sums, col_sums = matrix.sum(axis=1), matrix.sum(axis=0)
         total = float(row_sums.sum())
         # a non-finite entry leaves its row sum, and so the total, non-finite
         if not math.isfinite(total):
-            return np.inf
-        mass_err = abs(total - self.mass)
-        if not p.size:
-            return mass_err
-        return max(mass_err, float(-p.min()), float((row_sums - self.row_caps).max()),
-                   float((self.col_sums - self.col_caps).max()))
+            violation = np.inf
+        else:
+            violation = abs(total - mass)
+            if matrix.size:
+                violation = max(violation, float(-matrix.min()),
+                                float((row_sums - row_caps).max()),
+                                float((col_sums - col_caps).max()))
+        # a frozen dataclass's fields are set past its __setattr__
+        vars(self).update(matrix=matrix, row_caps=row_caps, col_caps=col_caps, mass=mass,
+                          converged=converged, n_iter=n_iter, residual=residual,
+                          row_sums=row_sums, col_sums=col_sums, _violation=violation)
+
+    def max_violation(self) -> float:
+        """Largest constraint violation: negativity, cap excess, or mass error;
+        infinite when an entry is not finite."""
+        return self._violation
 
     def validate(self, tol: float = EXACT_FEAS_TOL) -> None:
         v = self.max_violation()
@@ -177,8 +163,8 @@ def _check_inputs(a, b, C, alpha: float):
 
 
 def _transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
-    """Balanced transportation LP with equality marginals; returns the plan,
-    carrying the simplex iterations of all its LP rounds, and the row and
+    """Balanced transportation LP with equality marginals; returns the plan's
+    matrix, the simplex iterations of all its LP rounds, and the row and
     column duals.
 
     The first round solves over a shortlist: the _SHORTLIST_K cheapest cells
@@ -225,7 +211,7 @@ def _transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         rows, cols = np.concatenate([rows, new_rows]), np.concatenate([cols, new_cols])
     matrix = np.zeros((m, n))
     matrix[rows, cols] = x
-    return TransportPlan(matrix, a, b, float(a.sum()), n_iter=n_iter), f, g
+    return matrix, n_iter, f, g
 
 
 def _cheapest(C: np.ndarray, axis: int) -> np.ndarray:
@@ -331,10 +317,10 @@ def exact_partial_ot(a, b, C, alpha: float):
     C_ext[:m, :n] = shifted
     C_ext[m, n] = 2.0 * (m + n) * float(shifted.max()) + 1.0
 
-    full, _, _ = _transport_lp(a_ext, b_ext, C_ext)
-    plan = TransportPlan(full.matrix[:m, :n], a, b, alpha, n_iter=full.n_iter)
+    matrix, n_iter, _, _ = _transport_lp(a_ext, b_ext, C_ext)
+    plan = TransportPlan(matrix[:m, :n], a, b, alpha, n_iter=n_iter)
     plan.validate(EXACT_FEAS_TOL)
-    return plan, plan.cost(C)
+    return plan, float(np.vdot(C, plan.matrix))
 
 
 def entropic_partial_ot(a, b, C, alpha: float, cfg: SolverConfig | None = None) -> TransportPlan:
@@ -415,7 +401,7 @@ def _entropic(a, b, C, alpha: float, cfg: SolverConfig, *,
         full = np.zeros(C.shape)
         full[np.ix_(rows, cols)] = matrix
         matrix = full
-    plan = TransportPlan._solved(matrix, a, b, alpha, converged, n_iter, residual)
+    plan = TransportPlan(matrix, a, b, alpha, converged, n_iter, residual)
     if converged:
         plan.validate(ENTROPIC_FEAS_TOL)
     return plan

@@ -70,13 +70,15 @@ class BenchResult:
 def _draw_centers(spec: TaskSpec, rng: np.random.Generator) -> np.ndarray:
     """Rejection-sample K centers with pairwise distance >= separation."""
     box = spec.separation * spec.K
-    centers = []
+    centers = np.empty((spec.K, spec.d))
+    placed = 0
     for _ in range(100_000):
         c = rng.uniform(0.0, box, size=spec.d)
-        if all(np.linalg.norm(c - o) >= spec.separation for o in centers):
-            centers.append(c)
-            if len(centers) == spec.K:
-                return np.asarray(centers)
+        if (np.linalg.norm(centers[:placed] - c, axis=1) >= spec.separation).all():
+            centers[placed] = c
+            placed += 1
+            if placed == spec.K:
+                return centers
     raise RuntimeError("could not place class centers; lower K or separation")
 
 
@@ -100,7 +102,7 @@ def outlier_weight_share(weights: WeightVector | np.ndarray, source_labels, shar
     w = weights.values if isinstance(weights, WeightVector) else np.asarray(weights, dtype=float)
     labels = np.asarray(source_labels)
     total = float(w.sum())
-    if total <= 0:
+    if not total > 0:
         raise ValueError("total weight is zero")
     return float(w[labels >= shared].sum() / total)
 

@@ -60,7 +60,7 @@ def marginal_weights(plan: TransportPlan):
 
 def tv_term(q: WeightVector | np.ndarray, alpha: float, n_t: int) -> float:
     """Total-variation correction (1/2) sum_j |1/n_t - q_j/alpha|."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     q = q.values if isinstance(q, WeightVector) else np.asarray(q, dtype=float)
     if q.shape[0] != n_t:
@@ -141,8 +141,8 @@ def _w1_to_uniform_target(p_hat: np.ndarray, dist: np.ndarray):
     """
     n_t = dist.shape[1]
     b = np.full(n_t, 1.0 / n_t)
-    plan, _, col_duals = _transport_lp(p_hat, b, dist)
-    return plan.cost(dist), (dist - col_duals).min(axis=1)
+    matrix, _, _, col_duals = _transport_lp(p_hat, b, dist)
+    return float(np.vdot(dist, matrix)), (dist - col_duals).min(axis=1)
 
 
 def scheme_arpm(source_feats, target_feats, cfg: ArpmConfig) -> WeightVector:

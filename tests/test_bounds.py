@@ -28,7 +28,12 @@ from potpda.measures import (
     LinearFeatureMap,
     LipschitzClassifier,
     PdaDataset,
+    empirical_feature_measure,
+    feature_cost_matrix,
+    joint_cost_matrix,
 )
+from potpda.synthbench import outlier_weight_share
+from potpda.weights import tv_term
 
 
 def make_set(classifiers, gamma):
@@ -409,3 +414,33 @@ class TestBoundReportType:
     def test_sum_invariant_enforced(self):
         with pytest.raises(ValueError, match="sum of its terms"):
             BoundReport(0.1, 0.1, 0.1, 0.1, rhs_total=1.0, lhs_empirical_target_loss=0.0)
+
+
+NAN = float("nan")
+
+
+# each guard raises before it reads any other argument
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: PacBayesConfig(lam=NAN, delta=0.1, n_t=10), "lambda must be positive",
+                 id="PacBayesConfig.lam"),
+    pytest.param(lambda: PacBayesConfig(lam=1.0, delta=0.1, n_t=10, kl=NAN),
+                 "KL divergence must be nonnegative", id="PacBayesConfig.kl"),
+    pytest.param(lambda: min_decomposition_gap(None, None, None, None, NAN, None, None, None, None),
+                 "alpha must be positive", id="min_decomposition_gap.alpha"),
+    pytest.param(lambda: joint_bound_report(None, None, 0.5, 0.5, 1.0, NAN, None),
+                 "zeta must be positive", id="joint_bound_report.zeta"),
+    pytest.param(lambda: LipschitzClassifier(np.ones(2), 0.0, NAN), "gamma must be positive",
+                 id="LipschitzClassifier.gamma"),
+    pytest.param(lambda: empirical_feature_measure(np.ones((2, 2)), LinearFeatureMap(np.eye(2)), NAN),
+                 "scale must be positive", id="empirical_feature_measure.scale"),
+    pytest.param(lambda: feature_cost_matrix(np.zeros((1, 2)), np.ones((1, 2)), NAN),
+                 "gamma must be positive", id="feature_cost_matrix.gamma"),
+    pytest.param(lambda: joint_cost_matrix(np.zeros((1, 2)), [0.0], np.ones((1, 2)), [1.0], NAN),
+                 "zeta_gamma must be nonnegative", id="joint_cost_matrix.zeta_gamma"),
+    pytest.param(lambda: tv_term(np.full(2, 0.5), NAN, 2), "alpha must be positive",
+                 id="tv_term.alpha"),
+    pytest.param(lambda: outlier_weight_share(np.array([NAN, 1.0]), [0, 1], 1),
+                 "total weight is zero", id="outlier_weight_share.total")])
+def test_nan_parameters_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

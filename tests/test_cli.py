@@ -659,6 +659,23 @@ class TestTrainCommand:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
+    def test_every_trace_cell_reads_as_a_number(self, tmp_path, capsys):
+        # at alpha_max = beta = 1 the ramp reaches the batch's largest mass,
+        # the smaller marginal total, and the plan's alpha is clipped to it
+        code, payload = run_cli(capsys, ["make-task", "--out", str(tmp_path / "mt")])
+        assert code == 0
+        out = tmp_path / "run"
+        code, _ = run_cli(capsys, ["train", "--data", payload["task_path"], "--alpha-max", "1",
+                                   "--beta", "1", "--batch-size", "7", "--total-iters", "20",
+                                   "--ramp-iters", "10", "--out", str(out)])
+        assert code == 0
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 20
+        for row in rows:
+            for cell in row:
+                float(cell)
+
     def test_diverging_training_names_the_iteration(self, tiny_task, tmp_path, capsys):
         code = main(["train", "--data", str(tiny_task), "--lr", "1e30", "--total-iters", "50",
                      "--ramp-iters", "25", "--batch-size", "16", "--out", str(tmp_path / "run")])

@@ -1,6 +1,8 @@
 """Partial transport solvers against the vertex-enumeration oracle, the
 log-domain entropic loop and the dense-matrix transportation LP."""
 
+import dataclasses
+import math
 import threading
 import tracemalloc
 
@@ -164,9 +166,15 @@ def assert_certified(a, b, C, plan, row_duals, col_duals):
     return cost
 
 
+def transport_lp_plan(a, b, C):
+    """_transport_lp's matrix as a plan over the LP's marginals, and its duals."""
+    matrix, n_iter, row_duals, col_duals = _transport_lp(a, b, C)
+    return TransportPlan(matrix, a, b, a.sum(), n_iter=n_iter), row_duals, col_duals
+
+
 def assert_matches_dense_cost(a, b, C):
     """The shortlist LP returns a certified optimum of the dense oracle's cost."""
-    plan, row_duals, col_duals = _transport_lp(a, b, C)
+    plan, row_duals, col_duals = transport_lp_plan(a, b, C)
     cost = assert_certified(a, b, C, plan, row_duals, col_duals)
     ref_plan, *_ = reference_transport_lp(a, b, C)
     assert cost == pytest.approx(float(np.sum(C * ref_plan)), rel=1e-12, abs=1e-15)
@@ -314,7 +322,7 @@ class TestTransportLp:
             a = rng.random(m) + 0.1
             b = rng.random(n) + 0.1
             b *= a.sum() / b.sum()
-        plan, row_duals, col_duals = _transport_lp(a, b, C)
+        plan, row_duals, col_duals = transport_lp_plan(a, b, C)
         ref_plan, ref_rows, ref_cols, ref_nit = reference_transport_lp(a, b, C)
         np.testing.assert_array_equal(plan.matrix, ref_plan)
         np.testing.assert_array_equal(row_duals, ref_rows)
@@ -366,7 +374,8 @@ class TestTransportLp:
         monkeypatch.setattr(pot, "_transport_lp", recording_transport_lp)
         plan, cost = exact_partial_ot(a, b, C, 0.8)
         assert len(solves) > 1 and solves[0] < solves[-1] < (n + 1) ** 2
-        [((a_ext, b_ext, C_ext), (full, row_duals, col_duals))] = lps
+        [((a_ext, b_ext, C_ext), (matrix, n_iter, row_duals, col_duals))] = lps
+        full = TransportPlan(matrix, a_ext, b_ext, a_ext.sum(), n_iter=n_iter)
         assert_certified(a_ext, b_ext, C_ext, full, row_duals, col_duals)
         assert plan.n_iter == full.n_iter
         assert cost == pytest.approx(full.cost(C_ext), rel=1e-12)
@@ -375,12 +384,12 @@ class TestTransportLp:
         # between two solves of one LP the thread's solver meets an
         # infeasible LP and a larger one whose later rounds add columns
         a, b, C = uniform_line_instance(np.random.default_rng(3131), 31, 31)
-        first_plan, *first_duals = _transport_lp(a, b, C)
+        first_plan, *first_duals = transport_lp_plan(a, b, C)
         solver = pot._THREAD.solver
         with pytest.raises(RuntimeError, match="Infeasible"):
             _transport_lp(np.array([0.5, 0.5]), np.array([0.2, 0.2]), np.ones((2, 2)))
         exact_partial_ot(*uncertified_shortlist_instance(), 0.8)
-        plan, *duals = _transport_lp(a, b, C)
+        plan, *duals = transport_lp_plan(a, b, C)
         assert pot._THREAD.solver is solver
         np.testing.assert_array_equal(plan.matrix, first_plan.matrix)
         for dual, first in zip(duals, first_duals):
@@ -389,11 +398,11 @@ class TestTransportLp:
 
     def test_a_second_thread_solves_alike_on_its_own_solver(self):
         a, b, C = balanced_instance(np.random.default_rng(3031), 30, 31, False)
-        plan, *duals = _transport_lp(a, b, C)
+        plan, *duals = transport_lp_plan(a, b, C)
         results = []
 
         def solve():
-            results.append((_transport_lp(a, b, C), pot._THREAD.solver))
+            results.append((transport_lp_plan(a, b, C), pot._THREAD.solver))
 
         thread = threading.Thread(target=solve)
         thread.start()
@@ -864,7 +873,57 @@ class TestPwDistance:
             pw_distance(A2, B2, C2, 0.5, method="magic")
 
 
+def reference_violation(plan):
+    """The largest negativity, cap excess or mass error, from a fresh
+    reading of the matrix; infinite when an entry is not finite."""
+    p = plan.matrix
+    if not np.isfinite(p).all():
+        return np.inf
+    rows, cols = p.sum(axis=1), p.sum(axis=0)
+    return max(abs(float(rows.sum()) - plan.mass), float(-p.min()),
+               float((rows - plan.row_caps).max()), float((cols - plan.col_caps).max()))
+
+
 class TestTransportPlanType:
+    # dyadic entries, so that every sum and violation is exact
+    @pytest.mark.parametrize("matrix, row_caps, col_caps, mass, row_sums, col_sums, violation", [
+        pytest.param([[0.25, 0.125], [0.0, 0.5]], [0.5, 0.375], [0.25, 0.5], 0.875,
+                     [0.375, 0.5], [0.25, 0.625], 0.125, id="lists"),
+        pytest.param(np.array([0.25, 0.5]), np.array([1.0]), np.array([0.5, 0.5]), 0.5,
+                     [0.75], [0.25, 0.5], 0.25, id="1-d row"),
+        pytest.param(np.array([[-0.125, 0.5]]), np.array([0.5]), np.array([0.5, 0.5]),
+                     np.float64(0.375), [0.375], [-0.125, 0.5], 0.125, id="float arrays"),
+        pytest.param([[np.nan, 0.1]], [1.0], [1.0, 1.0], 0.5, [np.nan], [np.nan, 0.1], np.inf,
+                     id="nan entry")])
+    def test_constructor_measures_the_plan(self, matrix, row_caps, col_caps, mass, row_sums,
+                                           col_sums, violation):
+        plan = TransportPlan(matrix, row_caps, col_caps, mass)
+        assert plan.matrix.dtype == float and plan.matrix.shape == (len(row_sums), len(col_sums))
+        assert plan.row_caps.dtype == plan.col_caps.dtype == float
+        np.testing.assert_array_equal(plan.row_sums, row_sums)
+        np.testing.assert_array_equal(plan.col_sums, col_sums)
+        assert plan.max_violation() == violation
+        assert type(plan.mass) is float and plan.mass == mass
+        assert (plan.converged, plan.n_iter, math.isnan(plan.residual)) == (True, 0, True)
+        assert repr(plan).startswith("TransportPlan(matrix=") and "row_sums" not in repr(plan)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.mass = 1.0
+
+    def test_solver_plans_store_their_own_measurements(self):
+        rng = np.random.default_rng(41)
+        plans = []
+        for _ in range(10):
+            a, b, C, alpha = random_geometry_instance(rng)
+            plans.append(exact_partial_ot(a, b, C, alpha)[0])
+            # a zero cap sends the entropic solve through its positive-cap block
+            a = np.concatenate([[0.0], a[1:]])
+            plans.append(entropic_partial_ot(a, b, C, min(alpha, 0.9 * a.sum()),
+                                             SolverConfig(eps=0.5)))
+        for plan in plans:
+            np.testing.assert_array_equal(plan.row_sums, plan.matrix.sum(axis=1))
+            np.testing.assert_array_equal(plan.col_sums, plan.matrix.sum(axis=0))
+            assert plan.max_violation() == reference_violation(plan)
+
     def test_validate_raises_on_violation(self):
         for plan in (TransportPlan(np.array([[0.6]]), np.array([0.5]), np.array([1.0]), 0.6),
                      TransportPlan([[np.nan, 0.1]], [1.0], [1.0, 1.0], 0.5)):

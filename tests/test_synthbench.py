@@ -8,6 +8,7 @@ import pytest
 from potpda.pot import ENTROPIC_FEAS_TOL
 from potpda.synthbench import (
     TaskSpec,
+    _draw_centers,
     final_source_weights,
     generate_pda_task,
     outlier_weight_share,
@@ -19,6 +20,37 @@ from potpda.weights import WeightVector
 SMALL_SPEC = TaskSpec(K=4, shared=2, d=2, n_s=40, n_t=24, separation=4.0, noise=1.0)
 SMALL_CFG = TrainConfig(total_iters=20, ramp_iters=10, batch_size=16, lr=0.03,
                         eps=2.0, solver_tol=1e-6, solver_max_iter=400)
+
+
+def draw_centers_by_loop(spec, rng):
+    """_draw_centers with one distance per placed centre, each in its own
+    norm: the reference the vectorised test must match draw for draw."""
+    box = spec.separation * spec.K
+    centers = []
+    for _ in range(100_000):
+        c = rng.uniform(0.0, box, size=spec.d)
+        if all(np.linalg.norm(c - o) >= spec.separation for o in centers):
+            centers.append(c)
+            if len(centers) == spec.K:
+                return np.asarray(centers)
+    raise RuntimeError("could not place class centers; lower K or separation")
+
+
+class TestDrawCenters:
+    # the default task under criterion 10's seeds
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_loop_on_the_default_task(self, seed):
+        spec = TaskSpec(seed=seed)
+        np.testing.assert_array_equal(_draw_centers(spec, np.random.default_rng(seed)),
+                                      draw_centers_by_loop(spec, np.random.default_rng(seed)))
+
+    def test_matches_the_loop_where_no_placement_fits(self):
+        # on a line of three separations, two centres can leave no room
+        # for a third
+        spec = TaskSpec(K=3, shared=1, d=1, n_s=3, n_t=1, seed=2)
+        for draw in (_draw_centers, draw_centers_by_loop):
+            with pytest.raises(RuntimeError, match="could not place class centers"):
+                draw(spec, np.random.default_rng(spec.seed))
 
 
 class TestGeneratePdaTask:

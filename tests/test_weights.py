@@ -234,7 +234,7 @@ class TestSchemeArpm:
         p = np.array([2 / 3, 1 / 3, 0.0])
         b = np.full(3, 1 / 3)
         val, duals = _w1_to_uniform_target(p, dist)
-        _, _, g = _transport_lp(p, b, dist)
+        *_, g = _transport_lp(p, b, dist)
         assert duals[2] == pytest.approx(float((dist[2] - g).min()), abs=1e-9)
         assert duals[2] == pytest.approx(np.sqrt(18.0), abs=1e-9)
         assert np.all(duals[:, None] + g[None, :] <= dist + 1e-9)
