@@ -8,7 +8,12 @@ of cells (the shortlist method of Gottschlich and Schuhmacher, 2014) and
 certifies the result on the full matrix by its reduced costs.  HiGHS solves
 each sparse LP through the binding scipy's own LP interface calls, without
 that interface's per-call input and option handling: each thread keeps one
-solver, with its options set once, and hands it each LP as arrays.
+solver, with its options set once, and hands it each LP as arrays.  An LP
+whose shortlist leaves cells out runs without HiGHS's presolve, which costs
+such a sparse model more than it saves; the dense model runs with presolve,
+as scipy's interface runs it.  Where costs tie, an LP has several optimal
+plans, and which one HiGHS returns depends on its model and on presolve:
+the cost does not.
 ``_scipy_ext`` loads the binding from its extension file alone, so importing
 this module skips the start-up cost of scipy's optimize package.
 """
@@ -140,10 +145,11 @@ def _cost_entries(C) -> np.ndarray:
 def _check_inputs(a, b, C, alpha: float):
     """Finite costs, finite nonnegative marginals of matching lengths and a
     positive alpha within the smaller marginal mass; alpha is clipped to
-    that mass."""
+    that mass.  The marginals are copied, so that a plan's caps stay its
+    own when the caller changes its arrays."""
     C = _cost_entries(C)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
     mass_a, mass_b = a.sum(), b.sum()
     # a NaN or infinite entry leaves its sum non-finite; only a sum that
     # overflows needs the entrywise test
@@ -182,7 +188,9 @@ def _transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     When _SHORTLIST_K >= min(m, n) the shortlist holds every cell, and HiGHS
     gets the model, options and column order that scipy's ``method="highs"``
     LP interface would give it on the dense LP, so it returns the same
-    optimal vertex and duals.
+    optimal vertex and duals.  Any other LP runs without presolve (see
+    _lp_solver), and where costs tie it may return another optimal plan
+    than the dense LP would, at the same cost.
     """
     if not (np.all(np.isfinite(C)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("transportation LP costs and masses must be finite")
@@ -257,14 +265,19 @@ def _lp_solver(a, b, C, rows, cols):
     the cells (rows[k], cols[k]), taken in that order.
 
     Each thread keeps one solver, whose options are set once: the ones
-    scipy's ``method="highs"`` LP interface sets (HiGHS's own presolve
-    default is "choose").  Each call hands the model over as arrays, which
-    replaces the last model together with its basis and solution.
+    scipy's ``method="highs"`` LP interface sets, all but presolve, which
+    each call sets for its LP and which holds for all of that LP's rounds.
+    The dense model, whose cells are all m * n, runs with presolve "on", as
+    scipy's interface runs it, so it returns ``linprog``'s plan, duals and
+    iteration count, and the duals that ARPM reads stay those.  An LP whose
+    cells leave some out runs with presolve "off": on these sparse models
+    HiGHS's dual simplex then reaches the same optimum in about half the
+    time.  Each call hands the model over as arrays, which replaces the last
+    model together with its basis and solution.
     """
     solver = getattr(_THREAD, "solver", None)
     if solver is None:
         options = _highs.HighsOptions()
-        options.presolve = "on"
         options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
         options.output_flag = options.log_to_console = False
         for key, value in _LP_OPTIONS.items():
@@ -273,6 +286,7 @@ def _lp_solver(a, b, C, rows, cols):
         solver.passOptions(options)
     m, n = C.shape
     n_var = len(rows)
+    solver.setOptionValue("presolve", "on" if n_var == m * n else "off")
     starts, index = _cell_columns(m, rows, cols)
     marginals = np.concatenate([a, b])
     if solver.passModel(n_var, m + n, 2 * n_var, _highs.MatrixFormat.kColwise,
@@ -294,7 +308,7 @@ def _run(solver, m: int):
     solution = solver.getSolution()
     duals = np.array(solution.row_dual)
     return (np.clip(np.array(solution.col_value), 0.0, None), duals[:m], duals[m:],
-            int(solver.getInfo().simplex_iteration_count))
+            solver.getInfoValue("simplex_iteration_count")[1])
 
 
 def exact_partial_ot(a, b, C, alpha: float):

@@ -410,6 +410,25 @@ class TestBoundCheckHarness:
         assert len(res["records"]) == 25
 
 
+class TestSampleOrder:
+    # the reports read the plan's marginals, which may come from any optimal
+    # vertex of the LP; permuting the samples reorders the LP's cells, and
+    # so may move the solver to another vertex
+    def test_reports_do_not_depend_on_the_order_of_the_samples(self):
+        rng = np.random.default_rng(47)
+        terms = ("weighted_source_loss", "pw_term", "tv_term", "difficulty_term", "rhs_total")
+        for _ in range(50):
+            w, ds, alpha, beta, gamma, G = random_bound_instance(rng)
+            rows, cols = rng.permutation(ds.n_s), rng.permutation(ds.n_t)
+            permuted = type(ds)(ds.source_x[rows], ds.source_y[rows], ds.target_x[cols],
+                                ds.target_y_hidden[cols])
+            for report in (lambda d: feature_bound_report(w, d, alpha, beta, gamma, G),
+                           lambda d: joint_bound_report(w, d, alpha, beta, gamma, 1.0, G)):
+                before, after = report(ds), report(permuted)
+                for term in terms:
+                    assert getattr(after, term) == pytest.approx(getattr(before, term), abs=1e-12)
+
+
 class TestBoundReportType:
     def test_sum_invariant_enforced(self):
         with pytest.raises(ValueError, match="sum of its terms"):

@@ -396,6 +396,27 @@ class TestTransportLp:
             np.testing.assert_array_equal(dual, first)
         assert plan.n_iter == first_plan.n_iter
 
+    def test_presolve_follows_each_lp_on_the_reused_solver(self):
+        # the thread's one solver runs a shortlist LP without presolve and the
+        # dense model with it; neither setting may carry over to the next LP
+        a, b, C = uniform_line_instance(np.random.default_rng(3131), 31, 31)
+        dense = uniform_line_instance(np.random.default_rng(705), 7, 5)
+        first_plan, *first_duals = transport_lp_plan(a, b, C)
+        dense_plan, *dense_duals = transport_lp_plan(*dense)
+        plan, *duals = transport_lp_plan(a, b, C)
+        ref_plan, *ref_duals, ref_nit = reference_transport_lp(*dense)
+        np.testing.assert_array_equal(dense_plan.matrix, ref_plan)
+        for dual, ref in zip(dense_duals, ref_duals):
+            np.testing.assert_array_equal(dual, ref)
+        assert dense_plan.n_iter == ref_nit
+        cost = assert_certified(a, b, C, plan, *duals)
+        dense_cost = float(np.sum(C * reference_transport_lp(a, b, C)[0]))
+        assert cost == pytest.approx(dense_cost, rel=1e-12, abs=1e-15)
+        np.testing.assert_array_equal(plan.matrix, first_plan.matrix)
+        for dual, first in zip(duals, first_duals):
+            np.testing.assert_array_equal(dual, first)
+        assert plan.n_iter == first_plan.n_iter
+
     def test_a_second_thread_solves_alike_on_its_own_solver(self):
         a, b, C = balanced_instance(np.random.default_rng(3031), 30, 31, False)
         plan, *duals = transport_lp_plan(a, b, C)
@@ -923,6 +944,17 @@ class TestTransportPlanType:
             np.testing.assert_array_equal(plan.row_sums, plan.matrix.sum(axis=1))
             np.testing.assert_array_equal(plan.col_sums, plan.matrix.sum(axis=0))
             assert plan.max_violation() == reference_violation(plan)
+
+    @pytest.mark.parametrize("method", ["exact", "entropic"])
+    def test_plans_keep_their_caps_when_the_caller_changes_the_marginals(self, method):
+        a, b, C, alpha = random_geometry_instance(np.random.default_rng(43))
+        row_caps, col_caps = a.copy(), b.copy()
+        plan = (exact_partial_ot(a, b, C, alpha)[0] if method == "exact"
+                else entropic_partial_ot(a, b, C, alpha, SolverConfig(eps=0.5)))
+        a[0] = b[0] = 0.0
+        np.testing.assert_array_equal(plan.row_caps, row_caps)
+        np.testing.assert_array_equal(plan.col_caps, col_caps)
+        assert plan.max_violation() == reference_violation(plan)
 
     def test_validate_raises_on_violation(self):
         for plan in (TransportPlan(np.array([[0.6]]), np.array([0.5]), np.array([1.0]), 0.6),
