@@ -347,6 +347,8 @@ def bound_check(theorem: int, trials: int, seed: int) -> dict:
     per-trial slack records."""
     if theorem not in (1, 2):
         raise ValueError("theorem must be 1 or 2")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     records = []
     violations = 0
@@ -388,6 +390,8 @@ def pac_bayes_experiment(trials: int, delta: float, seed: int) -> dict:
     fresh source/target samples, forms a source-loss-softmax posterior (which
     never sees target labels), and tests the wrapped bound at confidence delta.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     world_rng = np.random.default_rng(seed)
     d = k = 2
     f = LinearFeatureMap(world_rng.normal(size=(k, d)))

@@ -4,6 +4,11 @@ Each step solves the entropic partial transport between the 1/beta-inflated
 batch-source atoms and the batch-target atoms under a feature-plus-label cost,
 freezes the plan, and takes one SGD step through the weighted cross-entropy
 and the alignment cost.  Gradients are exact for the fixed-plan objective.
+
+Batches come from shuffled passes over each domain's rows: a pass gives
+``n // batch_size`` disjoint batches and leaves the rest of its rows unused,
+and a batch larger than the rows draws with replacement.  train draws the
+batches of DRAW_BLOCK (256) steps at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ SCHEMES = ("warmpot", "uniform", "ba3us", "arpm")
 # feature pairs closer than this times the batch's largest feature distance
 # take their alignment gradient from their differences (see _gradients)
 CLOSE_PAIR_RTOL = 1e-6
+# train draws the batches of this many steps at a time (see _batches)
+DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -472,17 +479,38 @@ def _source_classes(labels) -> np.ndarray:
     return y
 
 
+def _batches(rng: np.random.Generator, n: int, k: int, steps: int) -> np.ndarray:
+    """``steps`` rows of ``k`` indices into ``range(n)``, the batches of
+    ``steps`` training steps.
+
+    Each row is the next ``k``-slice of a shuffled pass over ``range(n)``, so
+    it is a uniform random ``k``-subset, and the ``n // k`` rows of one pass
+    are disjoint; the last ``n % k`` indices of each pass go unused.  One
+    permutation serves ``n // k`` rows, where a fresh draw per row costs
+    O(n).  With ``k > n`` every row draws with replacement.
+    """
+    if k > n:
+        return rng.integers(n, size=(steps, k))
+    per_pass = n // k
+    passes = rng.permuted(np.broadcast_to(np.arange(n), (-(-steps // per_pass), n)), axis=1)
+    return passes[:, :per_pass * k].reshape(-1, k)[:steps]
+
+
 def train(ds: PdaDataset, cfg: TrainConfig):
     """Run the full schedule; deterministic for a fixed seed and config.
 
     Returns the final params and a per-iteration trace.  Each step runs
     warmpot_step's computation on arrays train builds and updates the
-    params' theta in place.  When the dataset carries hidden target labels,
-    the trace records the share of source weight on classes absent from the
-    target.  Source or hidden target labels that are not nonnegative
-    integers, and a source label not below the number of source rows, raise
-    ValueError; parameters that diverge raise FloatingPointError naming the
-    iteration.
+    params' theta in place.  At the start of every block of DRAW_BLOCK (256)
+    steps, train draws the block's source batches and then its target
+    batches with _batches: consecutive slices of shuffled passes over the
+    rows, ``n // batch_size`` batches a pass, the rest of a pass unused, and
+    with replacement when the batch exceeds the rows.  When the dataset
+    carries hidden target labels, the trace records the share of source
+    weight on classes absent from the target.  Source or hidden target
+    labels that are not nonnegative integers, and a source label not below
+    the number of source rows, raise ValueError; parameters that diverge
+    raise FloatingPointError naming the iteration.
     """
     source_y = _source_classes(ds.source_y)
     outlier_mask = None
@@ -498,7 +526,6 @@ def train(ds: PdaDataset, cfg: TrainConfig):
     batch_weights = _batch_weights(np.full(cfg.batch_size, scheme_full[0])) if fixed else None
     refresh = scheme_full is not None and not fixed
     n_s, n_t = ds.n_s, ds.n_t
-    replace_s, replace_t = cfg.batch_size > n_s, cfg.batch_size > n_t
     # each batch is one gather from the source rows stacked over the target rows
     stacked = np.concatenate([ds.source_x, ds.target_x])
     trace = []
@@ -507,24 +534,36 @@ def train(ds: PdaDataset, cfg: TrainConfig):
     with np.errstate(over="raise", invalid="raise"):
         try:
             for it in range(cfg.total_iters):
+                j = it % DRAW_BLOCK
+                if j == 0:
+                    # the next block's batches as rows of gather indices
+                    # into stacked, source rows then target rows, with the
+                    # source rows' labels and outlier flags; each step reads
+                    # one row of each.  The last block's arrays go first, so
+                    # that two blocks are never held at once.
+                    gather = labels = outliers = None
+                    steps = min(DRAW_BLOCK, cfg.total_iters - it)
+                    gather = np.concatenate([_batches(rng, n_s, cfg.batch_size, steps),
+                                             _batches(rng, n_t, cfg.batch_size, steps) + n_s],
+                                            axis=1)
+                    labels = source_y[gather[:, :cfg.batch_size]]
+                    if outlier_mask is not None:
+                        outliers = outlier_mask[gather[:, :cfg.batch_size]]
                 alpha = alpha_schedule(it, cfg)
-                si = rng.choice(n_s, size=cfg.batch_size, replace=replace_s)
-                ti = rng.choice(n_t, size=cfg.batch_size, replace=replace_t)
 
                 if refresh:
                     if it > 0:
                         scheme_full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
-                    batch_weights = _batch_weights(scheme_full[si])
+                    batch_weights = _batch_weights(scheme_full[gather[j, :cfg.batch_size]])
 
-                x = stacked.take(np.concatenate([si, ti + n_s]), axis=0)
-                grad, record = _step(params, x, source_y[si], cfg.batch_size, alpha, cfg,
-                                     batch_weights)
+                grad, record = _step(params, stacked.take(gather[j], axis=0), labels[j],
+                                     cfg.batch_size, alpha, cfg, batch_weights)
                 params.theta -= cfg.lr * grad
                 row = {"iter": it, **record}
                 p = row.pop("p_hat")
                 if outlier_mask is not None:
                     total = row["plan_mass"]
-                    row["outlier_weight_share"] = float(p[outlier_mask[si]].sum() / total) if total > 0 else 0.0
+                    row["outlier_weight_share"] = float(p[outliers[j]].sum() / total) if total > 0 else 0.0
                 trace.append(row)
         except FloatingPointError as exc:
             raise FloatingPointError(f"training diverged at iteration {it}: {exc}") from exc

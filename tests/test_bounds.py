@@ -341,6 +341,12 @@ class TestPacBayes:
         with pytest.raises(ValueError):
             PacBayesConfig(lam=1.0, delta=1.5, n_t=3)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_experiment_needs_a_trial(self, trials):
+        # no trial would divide the violation count by zero
+        with pytest.raises(ValueError, match="trials"):
+            pac_bayes_experiment(trials, 0.05, seed=0)
+
     def test_monte_carlo_violation_rate(self):
         result = pac_bayes_experiment(trials=150, delta=0.1, seed=77)
         assert result["violation_rate"] <= 0.15
@@ -393,6 +399,12 @@ class TestBoundCheckHarness:
     def test_bad_theorem_rejected(self):
         with pytest.raises(ValueError):
             bound_check(3, 1, seed=0)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_needs_a_trial(self, trials):
+        # no trial would leave no slack to take the max and min of
+        with pytest.raises(ValueError, match="trials"):
+            bound_check(1, trials, seed=0)
 
     def test_instance_whose_clipped_labels_are_all_zero_or_one(self):
         # trial 3 at seed 469: the labels are real values, so a target label

@@ -396,8 +396,10 @@ def train_by_public_steps(ds, cfg):
     trace = []
     for it in range(cfg.total_iters):
         alpha = alpha_schedule(it, cfg)
-        si = rng.choice(ds.n_s, size=cfg.batch_size, replace=cfg.batch_size > ds.n_s)
-        ti = rng.choice(ds.n_t, size=cfg.batch_size, replace=cfg.batch_size > ds.n_t)
+        if it % warmpot.DRAW_BLOCK == 0:
+            steps = min(warmpot.DRAW_BLOCK, cfg.total_iters - it)
+            S, T = (warmpot._batches(rng, n, cfg.batch_size, steps) for n in (ds.n_s, ds.n_t))
+        si, ti = S[it % warmpot.DRAW_BLOCK], T[it % warmpot.DRAW_BLOCK]
         if it > 0 and cfg.weight_scheme in ("ba3us", "arpm"):
             full = warmpot._scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
         weights = None if full is None else warmpot._batch_weights(full[si])
@@ -410,6 +412,67 @@ def train_by_public_steps(ds, cfg):
             row["outlier_weight_share"] = float(p[outliers[si]].sum() / p.sum())
         trace.append(row)
     return params, trace
+
+
+class TestBatches:
+    @pytest.mark.parametrize("n, k", [(200, 64), (120, 64), (64, 64), (7, 3), (10, 1)])
+    def test_rows_of_a_pass_are_disjoint_subsets(self, n, k):
+        rows = warmpot._batches(np.random.default_rng(0), n, k, 256)
+        assert rows.shape == (256, k)
+        assert ((rows >= 0) & (rows < n)).all()
+        assert all(len(set(row)) == k for row in rows)
+        per_pass = n // k
+        passes = rows[:256 // per_pass * per_pass].reshape(-1, per_pass * k)
+        assert all(len(set(p)) == per_pass * k for p in passes)
+
+    def test_a_batch_of_every_row_is_a_permutation(self):
+        rows = warmpot._batches(np.random.default_rng(1), 9, 9, 50)
+        np.testing.assert_array_equal(np.sort(rows, axis=1), np.broadcast_to(np.arange(9), (50, 9)))
+        assert len({tuple(row) for row in rows}) > 1
+
+    def test_a_batch_past_the_rows_draws_with_replacement(self):
+        rows = warmpot._batches(np.random.default_rng(2), 5, 8, 100)
+        assert rows.shape == (100, 8)
+        assert ((rows >= 0) & (rows < 5)).all()
+        assert set(rows.ravel()) == set(range(5))
+
+    def test_the_same_seed_gives_the_same_draws(self):
+        first, again, other = (warmpot._batches(np.random.default_rng(s), 200, 64, 256)
+                               for s in (4, 4, 5))
+        np.testing.assert_array_equal(first, again)
+        assert (first != other).any()
+
+    def test_a_target_smaller_than_the_batch_trains(self):
+        # n_t < batch_size <= n_s: source batches from passes, target
+        # batches with replacement
+        ds = generate_pda_task(TaskSpec(n_s=40, n_t=20, seed=2))
+        cfg = TrainConfig(total_iters=10, ramp_iters=5, batch_size=32, lr=0.03, eps=2.0, seed=1)
+        params, trace = train(ds, cfg)
+        assert len(trace) == 10
+        assert all(r["solver_converged"] for r in trace)
+        assert np.isfinite(params.theta).all()
+
+    def test_a_run_past_one_block_draws_every_step(self, monkeypatch):
+        # 300 steps span a full block of 256 and a last one of 44: train
+        # draws twice a block, source then target, and every step trains
+        # on its own batch, as the oracle draws them
+        calls = []
+        draw = warmpot._batches
+
+        def recording(rng, n, k, steps):
+            calls.append((n, k, steps))
+            return draw(rng, n, k, steps)
+
+        monkeypatch.setattr(warmpot, "_batches", recording)
+        ds = generate_pda_task(TaskSpec(n_s=30, n_t=20, seed=6))
+        cfg = TrainConfig(total_iters=300, ramp_iters=150, batch_size=8, lr=0.03, eps=2.0, seed=2)
+        params, trace = train(ds, cfg)
+        assert warmpot.DRAW_BLOCK == 256
+        assert calls == [(30, 8, 256), (20, 8, 256), (30, 8, 44), (20, 8, 44)]
+        assert [r["iter"] for r in trace] == list(range(300))
+        expected_params, expected_trace = train_by_public_steps(ds, cfg)
+        assert trace == expected_trace
+        assert params.theta.tobytes() == expected_params.theta.tobytes()
 
 
 class TestTrain:
