@@ -8,7 +8,8 @@ and the alignment cost.  Gradients are exact for the fixed-plan objective.
 Batches come from shuffled passes over each domain's rows: a pass gives
 ``n // batch_size`` disjoint batches and leaves the rest of its rows unused,
 and a batch larger than the rows draws with replacement.  train draws the
-batches of DRAW_BLOCK (256) steps at a time.
+batches of DRAW_BLOCK (256) steps at a time; each step reads its inputs,
+labels, outlier flags and scheme weights through its batch's indices.
 """
 
 from __future__ import annotations
@@ -499,33 +500,26 @@ def _batches(rng: np.random.Generator, n: int, k: int, steps: int) -> np.ndarray
 def train(ds: PdaDataset, cfg: TrainConfig):
     """Run the full schedule; deterministic for a fixed seed and config.
 
-    Returns the final params and a per-iteration trace.  Each step runs
-    warmpot_step's computation on arrays train builds and updates the
-    params' theta in place.  At the start of every block of DRAW_BLOCK (256)
-    steps, train draws the block's source batches and then its target
-    batches with _batches: consecutive slices of shuffled passes over the
-    rows, ``n // batch_size`` batches a pass, the rest of a pass unused, and
-    with replacement when the batch exceeds the rows.  When the dataset
-    carries hidden target labels, the trace records the share of source
-    weight on classes absent from the target.  Source or hidden target
-    labels that are not nonnegative integers, and a source label not below
+    Returns the final params and a per-iteration trace.  The source and
+    then the target batches of every DRAW_BLOCK (256) steps come from
+    _batches.  Each step gathers its batch's inputs, source labels, outlier
+    flags and scheme weights by the batch's indices, runs warmpot_step's
+    computation and updates theta in place.  ``ba3us`` and ``arpm`` rebuild
+    their full-dataset weights before every step after the first; ``warmpot``
+    has none and weights by the plan.  With hidden target labels, the trace
+    records the share of source weight on classes absent from the target.
+    Labels that are not nonnegative integers, or a source label not below
     the number of source rows, raise ValueError; parameters that diverge
     raise FloatingPointError naming the iteration.
     """
     source_y = _source_classes(ds.source_y)
-    outlier_mask = None
+    outliers = None
     if ds.target_y_hidden is not None:
-        outlier_mask = ~np.isin(source_y, class_labels(ds.target_y_hidden))
+        outliers = ~np.isin(source_y, class_labels(ds.target_y_hidden))
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams.init(ds.dim, int(source_y.max()) + 1, rng)
-
-    scheme_full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
-    # uniform weights never change, so their batch weights are built once;
-    # the other schemes' weights follow the model
-    fixed = cfg.weight_scheme == "uniform"
-    batch_weights = _batch_weights(np.full(cfg.batch_size, scheme_full[0])) if fixed else None
-    refresh = scheme_full is not None and not fixed
-    n_s, n_t = ds.n_s, ds.n_t
+    full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
+    n_s, k = ds.n_s, cfg.batch_size
     # each batch is one gather from the source rows stacked over the target rows
     stacked = np.concatenate([ds.source_x, ds.target_x])
     trace = []
@@ -534,36 +528,27 @@ def train(ds: PdaDataset, cfg: TrainConfig):
     with np.errstate(over="raise", invalid="raise"):
         try:
             for it in range(cfg.total_iters):
-                j = it % DRAW_BLOCK
-                if j == 0:
-                    # the next block's batches as rows of gather indices
-                    # into stacked, source rows then target rows, with the
-                    # source rows' labels and outlier flags; each step reads
-                    # one row of each.  The last block's arrays go first, so
-                    # that two blocks are never held at once.
-                    gather = labels = outliers = None
+                if it % DRAW_BLOCK == 0:
+                    # the block's batches as rows of indices into stacked; the
+                    # last block and its views go first, so that two blocks
+                    # are never held at once
+                    block = rows = si = None
                     steps = min(DRAW_BLOCK, cfg.total_iters - it)
-                    gather = np.concatenate([_batches(rng, n_s, cfg.batch_size, steps),
-                                             _batches(rng, n_t, cfg.batch_size, steps) + n_s],
-                                            axis=1)
-                    labels = source_y[gather[:, :cfg.batch_size]]
-                    if outlier_mask is not None:
-                        outliers = outlier_mask[gather[:, :cfg.batch_size]]
-                alpha = alpha_schedule(it, cfg)
-
-                if refresh:
-                    if it > 0:
-                        scheme_full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
-                    batch_weights = _batch_weights(scheme_full[gather[j, :cfg.batch_size]])
-
-                grad, record = _step(params, stacked.take(gather[j], axis=0), labels[j],
-                                     cfg.batch_size, alpha, cfg, batch_weights)
+                    block = np.concatenate([_batches(rng, n_s, k, steps),
+                                            _batches(rng, ds.n_t, k, steps) + n_s], axis=1)
+                rows = block[it % DRAW_BLOCK]
+                si = rows[:k]
+                if it > 0 and cfg.weight_scheme in ("ba3us", "arpm"):
+                    full = _scheme_weights_full(cfg.weight_scheme, ds, params, cfg)
+                weights = None if full is None else _batch_weights(full[si])
+                grad, record = _step(params, stacked.take(rows, axis=0), source_y[si], k,
+                                     alpha_schedule(it, cfg), cfg, weights)
                 params.theta -= cfg.lr * grad
                 row = {"iter": it, **record}
                 p = row.pop("p_hat")
-                if outlier_mask is not None:
-                    total = row["plan_mass"]
-                    row["outlier_weight_share"] = float(p[outliers[j]].sum() / total) if total > 0 else 0.0
+                if outliers is not None:
+                    # _step has checked that the plan carries its mass alpha > 0
+                    row["outlier_weight_share"] = float(p[outliers[si]].sum() / row["plan_mass"])
                 trace.append(row)
         except FloatingPointError as exc:
             raise FloatingPointError(f"training diverged at iteration {it}: {exc}") from exc

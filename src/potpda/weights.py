@@ -163,9 +163,10 @@ def scheme_arpm(source_feats, target_feats, cfg: ArpmConfig) -> WeightVector:
       mean the current point is optimal, and the loop stops there.
 
     The nearest-source weighting minimizes W1 over the whole simplex, so
-    whenever it lies in the ball (always for rho >= n_s - 1) the result is
-    the exact minimizer.  When the ball binds the result is the best iterate
-    seen, with no optimality certificate.
+    whenever it lies in the ball (always for rho >= n_s - 1) it is the exact
+    minimizer, and it is returned as it is, with no LP solved.  When the ball
+    binds the result is the best candidate seen, with no optimality
+    certificate.
     """
     dist = feature_cost_matrix(source_feats, target_feats, 1.0)
     n_s = dist.shape[0]
@@ -174,13 +175,16 @@ def scheme_arpm(source_feats, target_feats, cfg: ArpmConfig) -> WeightVector:
         return WeightVector(uniform)
 
     radius = float(np.sqrt(cfg.rho / n_s))
+    nearest = np.bincount(dist.argmin(axis=0), minlength=n_s) / dist.shape[1]
+    projected = _project_delta(nearest, radius)
+    # _project_delta returns a point of the feasible set as it is
+    if projected is nearest:
+        return WeightVector(nearest)
     best_val, duals = _w1_to_uniform_target(uniform, dist)
     best = p = uniform
-    nearest = np.bincount(dist.argmin(axis=0), minlength=n_s) / dist.shape[1]
-    nearest = _project_delta(nearest, radius)
-    val, _ = _w1_to_uniform_target(nearest, dist)
+    val, _ = _w1_to_uniform_target(projected, dist)
     if val < best_val:
-        best_val, best = val, nearest
+        best_val, best = val, projected
     for step in range(ARPM_STEPS):
         if np.ptp(duals) == 0.0:
             break

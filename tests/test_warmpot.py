@@ -487,7 +487,8 @@ class TestTrain:
         np.testing.assert_array_equal(params1.W_f, params2.W_f)
         np.testing.assert_array_equal(params1.W_g, params2.W_g)
 
-    @pytest.mark.parametrize("scheme, steps", [("warmpot", 40), ("uniform", 40), ("ba3us", 5)])
+    @pytest.mark.parametrize("scheme, steps",
+                             [("warmpot", 40), ("uniform", 40), ("ba3us", 5), ("arpm", 5)])
     @pytest.mark.parametrize("hidden", [True, False])
     def test_matches_a_loop_of_public_steps_bit_for_bit(self, scheme, steps, hidden):
         # train updates its own theta in place and gathers each batch from
@@ -552,6 +553,28 @@ class TestTrain:
         calls.clear()
         train(ds, TrainConfig(weight_scheme="ba3us", **base))
         assert calls == ["ba3us"] * 15
+
+    def test_a_batch_of_unpredicted_classes_takes_uniform_weights(self, monkeypatch):
+        # the zero head predicts class 0 for every target row, so at the
+        # first step ba3us weights every other class 0; a batch whose rows
+        # all carry weight 0 falls back to uniform weights
+        seen = []
+        batch_weights = warmpot._batch_weights
+
+        def recording(raw):
+            seen.append((raw, batch_weights(raw)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(warmpot, "_batch_weights", recording)
+        ds = generate_pda_task(TaskSpec(n_s=30, n_t=20, seed=3))
+        train(ds, TrainConfig(weight_scheme="ba3us", total_iters=15, ramp_iters=5, batch_size=4,
+                              lr=0.02, eps=2.0, seed=1))
+        assert len(seen) == 15
+        unweighted = [weights for raw, weights in seen if raw.sum() == 0]
+        assert 0 < len(unweighted) < len(seen)
+        for weights in unweighted:
+            np.testing.assert_array_equal(weights, np.full(4, 0.25))
+        np.testing.assert_array_equal(batch_weights(np.zeros(3)), np.full(3, 1 / 3))
 
     def test_batches_with_rows_under_their_caps_take_at_most_two_sweeps(self, monkeypatch):
         # at the benchmark's training flags no row cap binds on most batches;

@@ -262,6 +262,25 @@ class TestSchemeArpm:
         val, _ = _w1_to_uniform_target(wv.values, dist)
         assert val == pytest.approx(float(dist.min(axis=0).mean()), abs=1e-9)
 
+    def test_slack_ball_solves_no_lp(self, monkeypatch):
+        # the ball holds the nearest-source weighting, the minimizer over the
+        # whole simplex, so no candidate needs pricing
+        import potpda.weights as weights
+
+        calls = []
+        w1 = weights._w1_to_uniform_target
+
+        def counted(*args):
+            calls.append(args)
+            return w1(*args)
+
+        monkeypatch.setattr(weights, "_w1_to_uniform_target", counted)
+        ds = generate_pda_task(TaskSpec(seed=0))
+        wv = scheme_arpm(ds.source_x, ds.target_x, ArpmConfig())
+        assert not calls
+        nearest = cdist(ds.source_x, ds.target_x).argmin(axis=0)
+        np.testing.assert_array_equal(wv.values, np.bincount(nearest, minlength=ds.n_s) / ds.n_t)
+
     def test_binding_ball_on_the_default_task(self):
         # at rho = 1 the nearest-source weighting lies outside the ball, so
         # the subgradient steps decide the result; its W1, the minimum over
